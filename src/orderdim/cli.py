@@ -78,8 +78,11 @@ class UsageError(Exception):
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
+    budget = getattr(args, "budget", None)
+    if budget is not None:
+        if budget < 0:
+            raise UsageError(f"--budget must be at least 0, got {budget}")
+        return budget
     env = os.environ.get("DICHRO_BUDGET")
     if env:
         try:

@@ -203,46 +203,47 @@ def is_k_uniform(d: Digraph, k: int, budget: int = DEFAULT_CYCLE_BUDGET) -> bool
 
 
 def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
-    """Strongly connected components in topological order, members sorted."""
+    """Strongly connected components in topological order, members sorted.
+
+    Kosaraju on bitsets. The forward DFS keeps an unvisited mask and always
+    steps to the lowest unvisited out-neighbour (rows[u] & unvisited), from
+    the lowest unvisited root; the backward sweep takes vertices in reverse
+    finish order and collects each component through cols[u] & left, where
+    left holds the vertices not yet in a component.
+    """
     n = d.n
-    visited = [False] * n
+    rows = d.rows
+    unvisited = (1 << n) - 1
     finish: list[int] = []
-    for s in range(n):
-        if visited[s]:
-            continue
-        visited[s] = True
+    while unvisited:
+        s = (unvisited & -unvisited).bit_length() - 1
+        unvisited ^= 1 << s
         path = [s]
-        stack = [iter(bits_of(d.rows[s]))]
-        while stack:
-            advanced = False
-            for w in stack[-1]:
-                if not visited[w]:
-                    visited[w] = True
-                    path.append(w)
-                    stack.append(iter(bits_of(d.rows[w])))
-                    advanced = True
-                    break
-            if not advanced:
+        while path:
+            nxt = rows[path[-1]] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                path.append(low.bit_length() - 1)
+            else:
                 finish.append(path.pop())
-                stack.pop()
-    cols = transpose_rows(d.rows, n)
-    comp = [-1] * n
+    cols = transpose_rows(rows, n)
+    left = (1 << n) - 1
     comps: list[tuple[int, ...]] = []
     for v in reversed(finish):
-        if comp[v] != -1:
+        bit = 1 << v
+        if not left & bit:
             continue
-        ci = len(comps)
-        comp[v] = ci
-        members = []
+        left ^= bit
+        members = bit
         todo = [v]
         while todo:
-            u = todo.pop()
-            members.append(u)
-            for w in bits_of(cols[u]):
-                if comp[w] == -1:
-                    comp[w] = ci
-                    todo.append(w)
-        comps.append(tuple(sorted(members)))
+            new = cols[todo.pop()] & left
+            if new:
+                left ^= new
+                members |= new
+                todo.extend(bits_of(new))
+        comps.append(tuple(bits_of(members)))
     return tuple(comps)
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here recomputes answers from first principles with plain
-itertools scans, deliberately sharing no search code with the library.
+itertools scans, subset tables and matrix closures, deliberately sharing
+no search code with the library.
 """
 
 from __future__ import annotations
@@ -26,17 +27,29 @@ def subset_is_acyclic(d: Digraph, members: tuple[int, ...]) -> bool:
 
 
 def brute_dicr(d: Digraph) -> int:
-    if d.n == 0:
-        return 0
-    for k in range(1, d.n + 1):
-        for assign in itertools.product(range(k), repeat=d.n):
-            groups = [
-                tuple(v for v in range(d.n) if assign[v] == c)
-                for c in range(k)
-            ]
-            if all(subset_is_acyclic(d, g) for g in groups):
-                return k
-    raise AssertionError("single classes of size one are always acyclic")
+    """Fewest acyclic sets covering the vertices, by dynamic programming.
+
+    best[S] is the least number of acyclic sets partitioning S; the set
+    holding the least vertex of S is tried over every acyclic subset of S,
+    each tested by the peeling oracle above.
+    """
+    n = d.n
+    full = (1 << n) - 1
+    acyclic = [
+        subset_is_acyclic(d, tuple(v for v in range(n) if mask >> v & 1))
+        for mask in range(full + 1)
+    ]
+    best = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sub = mask
+        options = []
+        while sub:
+            if sub & low and acyclic[sub]:
+                options.append(best[mask ^ sub])
+            sub = (sub - 1) & mask
+        best[mask] = 1 + min(options)
+    return best[full]
 
 
 def brute_chrom(d: Digraph) -> int:
@@ -48,6 +61,26 @@ def brute_chrom(d: Digraph) -> int:
             if all(assign[u] != assign[v] for u, v in edges):
                 return k
     raise AssertionError("n colors always suffice")
+
+
+def brute_scc(d: Digraph) -> set[tuple[int, ...]]:
+    """Strong components as classes of mutual reachability.
+
+    Reachability is the reflexive transitive closure, computed by
+    Warshall's triple loop over a boolean matrix.
+    """
+    n = d.n
+    reach = [[u == v or d.adj(u, v) for v in range(n)] for u in range(n)]
+    for w in range(n):
+        for u in range(n):
+            if reach[u][w]:
+                for v in range(n):
+                    if reach[w][v]:
+                        reach[u][v] = True
+    return {
+        tuple(v for v in range(n) if reach[u][v] and reach[v][u])
+        for u in range(n)
+    }
 
 
 def brute_minimal_cycle_sets(d: Digraph) -> set[tuple[int, ...]]:

@@ -161,6 +161,25 @@ def test_budget_flag_overrides_env(capsys, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["k"] == 2
 
 
+def test_budget_zero_is_honoured(capsys, tmp_path, c3, crown):
+    code, out, err = invoke(capsys, "dicr", c3, "--budget", "0")
+    assert code == 3 and out == "" and "budget" in err.lower()
+    code, out, err = invoke(capsys, "dim", crown, "--budget", "0")
+    assert code == 3 and out == "" and "budget" in err.lower()
+    # a digraph without cycles has only singleton components: no search node
+    path = write(
+        tmp_path, "path.json",
+        {"kind": "digraph", "n": 3, "edges": [[0, 1], [1, 2]]},
+    )
+    code, out, _ = invoke(capsys, "dicr", path, "--budget", "0")
+    assert code == 0 and json.loads(out)["k"] == 1
+
+
+def test_negative_budget_is_usage_error(capsys, c3):
+    code, out, err = invoke(capsys, "dicr", c3, "--budget", "-1")
+    assert code == 2 and out == "" and "--budget" in err
+
+
 def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     c6 = write(
         tmp_path,

@@ -23,12 +23,14 @@ from orderdim import (
     is_k_uniform,
     is_minimal_cycle,
     minimal_cycles,
+    pair_digraph,
+    random_order,
     scc_decompose,
     verify_cycle,
     verify_homomorphism,
 )
 
-from .oracles import brute_minimal_cycle_sets, subset_is_acyclic
+from .oracles import brute_minimal_cycle_sets, brute_scc, subset_is_acyclic
 
 
 def digraphs(max_n: int = 6):
@@ -115,18 +117,42 @@ def test_scc_components_in_topological_order():
     assert comps == ((0, 1), (2, 3), (4,))
 
 
-@given(digraphs())
-@settings(max_examples=100)
-def test_scc_partition_and_edge_direction(d):
+def _assert_scc_matches_oracle(d):
     comps = scc_decompose(d)
     flat = sorted(v for c in comps for v in c)
     assert flat == list(range(d.n))
+    assert all(list(c) == sorted(c) for c in comps)
+    assert set(comps) == brute_scc(d)
     where = {}
     for i, comp in enumerate(comps):
         for v in comp:
             where[v] = i
     for u, v in d.edges():
         assert where[u] <= where[v]
+
+
+def sparse_digraphs(max_n: int = 12):
+    """Few edges, so that many components and DAG edges between them arise."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=2 * n,
+        ).map(lambda edges: digraph(n, edges))
+    )
+
+
+@given(st.one_of(digraphs(max_n=12), sparse_digraphs(12)))
+@settings(max_examples=200)
+def test_scc_partition_and_edge_direction(d):
+    _assert_scc_matches_oracle(d)
+
+
+def test_scc_on_pair_digraph_matches_oracle():
+    ap, _ = pair_digraph(random_order(12, 0.4, 15))
+    assert ap.n == 90
+    _assert_scc_matches_oracle(ap)
 
 
 def test_verify_homomorphism_plain_and_minimal():
