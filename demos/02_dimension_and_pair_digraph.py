@@ -23,16 +23,15 @@ def main() -> None:
     # n bottom points, n top points, each top above all bottoms but one.
     for n in (2, 3):
         crown = crown_order(n)
-        via = order_dimension(crown, "via_dicr")
-        rea = order_dimension(crown, "realizer")
+        via = order_dimension(crown)
         ap, _ = pair_digraph(crown)
         k = dichromatic_number(ap).k
         oracle = realizer_oracle(crown, n)
         print(
-            f"crown n={n}: dimension {via.d} (reduction) = {rea.d} "
-            f"(direct search) = {k} (pair digraph) = {oracle} (oracle)"
+            f"crown n={n}: dimension {via.d} (reduction) = {k} "
+            f"(pair digraph) = {oracle} (oracle)"
         )
-        assert via.d == rea.d == k == oracle == n
+        assert via.d == k == oracle == n
 
     # The witness family really is a family of extensions deciding
     # every pair; its size is the dimension.

@@ -502,20 +502,20 @@ def _cert(claim, index, instance, witness, seed, config) -> Certificate:
 # --------------------------------------------------------------- campaigns
 
 
-def run_odim_eq_dicr(n=None, seed=0, exhaustive=False, budget=None):
+def run_odim_eq_dicr(n=None, seed=0, budget=None):
     n = 4 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "exhaustive": True}
     idx = 0
     for size in range(n + 1):
         for base in enumerate_posets(size):
-            via = order_dimension(base, "via_dicr", budget)
-            rea = order_dimension(base, "realizer", budget)
+            via = order_dimension(base, budget)
+            oracle = realizer_oracle(base, max(via.d, 1))
             ap, _ = pair_digraph(base)
             res = dichromatic_number(ap, budget)
             witness = {
                 "d_via_dicr": via.d,
-                "d_realizer": rea.d,
+                "d_realizer": oracle if oracle is not None else -1,
                 "k_pair_digraph": res.k,
                 "family": family_payload(via.witness),
                 "cover": cover_payload(res.witness),
@@ -531,7 +531,7 @@ def run_odim_eq_dicr(n=None, seed=0, exhaustive=False, budget=None):
             idx += 1
 
 
-def run_dim_agreement(n=None, seed=0, exhaustive=False, budget=None):
+def run_dim_agreement(n=None, seed=0, budget=None):
     n = 6 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "count": 30}
@@ -540,13 +540,13 @@ def run_dim_agreement(n=None, seed=0, exhaustive=False, budget=None):
         size = 1 + rng.below(n)
         p = 0.15 + 0.1 * rng.below(6)
         base = random_quasi(size, p, rng.next_u64())
-        via = order_dimension(base, "via_dicr", budget)
-        rea = order_dimension(base, "realizer", budget)
+        via = order_dimension(base, budget)
         oracle = realizer_oracle(base, max(via.d, 1))
+        d_oracle = oracle if oracle is not None else -1
         witness = {
             "d_via_dicr": via.d,
-            "d_realizer": rea.d,
-            "d_oracle": oracle if oracle is not None else -1,
+            "d_realizer": d_oracle,
+            "d_oracle": d_oracle,
             "family": family_payload(via.witness),
         }
         yield _cert(
@@ -568,10 +568,10 @@ DIM_LANDMARKS = (
 )
 
 
-def run_dim_landmarks(n=None, seed=0, exhaustive=False, budget=None):
+def run_dim_landmarks(n=None, seed=0, budget=None):
     budget = budget or DEFAULT_SEARCH_BUDGET
     for idx, (name, base, expected) in enumerate(DIM_LANDMARKS):
-        res = order_dimension(base, "via_dicr", budget)
+        res = order_dimension(base, budget)
         witness = {
             "name": name,
             "expected": expected,
@@ -588,7 +588,7 @@ def run_dim_landmarks(n=None, seed=0, exhaustive=False, budget=None):
         )
 
 
-def run_dicr_landmarks(n=None, seed=0, exhaustive=False, budget=None):
+def run_dicr_landmarks(n=None, seed=0, budget=None):
     budget = budget or DEFAULT_SEARCH_BUDGET
     fixtures: list[tuple[str, Digraph, int]] = []
     for size in range(2, 8):
@@ -629,7 +629,7 @@ def run_dicr_landmarks(n=None, seed=0, exhaustive=False, budget=None):
         )
 
 
-def run_graph_collapse(n=None, seed=0, exhaustive=False, budget=None):
+def run_graph_collapse(n=None, seed=0, budget=None):
     n = 8 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "count": 100}
@@ -656,7 +656,7 @@ def run_graph_collapse(n=None, seed=0, exhaustive=False, budget=None):
         )
 
 
-def run_h1plus(n=None, seed=0, exhaustive=False, budget=None):
+def run_h1plus(n=None, seed=0, budget=None):
     n = 4 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "exhaustive": True}
@@ -693,7 +693,7 @@ def _acyclic_subset(ap, ids):
         ids = [v for v in ids if v != w.verts[0]]
 
 
-def run_cyclefree_extends(n=None, seed=0, exhaustive=False, budget=None):
+def run_cyclefree_extends(n=None, seed=0, budget=None):
     n = 7 if n is None else n
     config = {"n": n, "count": 500}
     rng = SplitMix64(seed)
@@ -732,7 +732,7 @@ def run_cyclefree_extends(n=None, seed=0, exhaustive=False, budget=None):
         yield _cert("cyclefree_extends", idx, instance, witness, seed, config)
 
 
-def run_roundtrip(n=None, seed=0, exhaustive=False, budget=None):
+def run_roundtrip(n=None, seed=0, budget=None):
     n = 4 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "exhaustive": True}
@@ -759,7 +759,7 @@ def run_roundtrip(n=None, seed=0, exhaustive=False, budget=None):
             idx += 1
 
 
-def run_g0_objects(n=None, seed=0, exhaustive=False, budget=None):
+def run_g0_objects(n=None, seed=0, budget=None):
     max_len = 3 if n is None else min(n, 3)
     config = {"max_len": max_len, "max_branch": 4}
     sel = DenseSelector()
@@ -786,7 +786,7 @@ def run_g0_objects(n=None, seed=0, exhaustive=False, budget=None):
         )
 
 
-def run_xinapg(n=None, seed=0, exhaustive=False, budget=None):
+def run_xinapg(n=None, seed=0, budget=None):
     n = 6 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "count": 100}
@@ -815,7 +815,7 @@ def run_xinapg(n=None, seed=0, exhaustive=False, budget=None):
         )
 
 
-def run_hom_transfer(n=None, seed=0, exhaustive=False, budget=None):
+def run_hom_transfer(n=None, seed=0, budget=None):
     n = 6 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "count": 30}
@@ -869,7 +869,7 @@ def _induced(d: Digraph, keep) -> Digraph:
     return Digraph(len(keep), tuple(rows))
 
 
-def run_separators(n=None, seed=0, exhaustive=False, budget=None):
+def run_separators(n=None, seed=0, budget=None):
     n = 4 if n is None else n
     budget = budget or DEFAULT_SEARCH_BUDGET
     config = {"n": n, "exhaustive": True}
@@ -889,7 +889,7 @@ def run_separators(n=None, seed=0, exhaustive=False, budget=None):
                 )
                 idx += 1
                 continue
-            d = order_dimension(base, "via_dicr", budget).d
+            d = order_dimension(base, budget).d
             witness = {
                 "family": family_payload(fam),
                 "bound": fam.size,
@@ -906,7 +906,7 @@ def run_separators(n=None, seed=0, exhaustive=False, budget=None):
             idx += 1
 
 
-def run_minimal_hom(n=None, seed=0, exhaustive=False, budget=None):
+def run_minimal_hom(n=None, seed=0, budget=None):
     budget = budget or DEFAULT_SEARCH_BUDGET
     g = directed_cycle(6)
     h = directed_cycle(3)
@@ -979,11 +979,11 @@ CAMPAIGNS = {
 }
 
 
-def run_campaign(name, n=None, seed=0, exhaustive=False, budget=None):
+def run_campaign(name, n=None, seed=0, budget=None):
     try:
         fn = CAMPAIGNS[name]
     except KeyError:
         raise OrderdimError(
             f"unknown campaign {name!r}; choose from {sorted(CAMPAIGNS)}"
         ) from None
-    return fn(n=n, seed=seed, exhaustive=exhaustive, budget=budget)
+    return fn(n=n, seed=seed, budget=budget)

@@ -45,7 +45,7 @@ from .selectors import (
     canonical_cycles,
     density_report,
     level_edge_count,
-    prefix_monotone,
+    monotone_counterexample,
     selector_digraph,
 )
 from .serialize import (
@@ -78,18 +78,19 @@ class UsageError(Exception):
 
 
 def _resolve_budget(args) -> int:
-    budget = getattr(args, "budget", None)
-    if budget is not None:
-        if budget < 0:
-            raise UsageError(f"--budget must be at least 0, got {budget}")
-        return budget
-    env = os.environ.get("DICHRO_BUDGET")
-    if env:
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        env = os.environ.get("DICHRO_BUDGET")
+        if not env:
+            return DEFAULT_SEARCH_BUDGET
+        source = "DICHRO_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise UsageError(f"DICHRO_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_SEARCH_BUDGET
+    if budget < 0:
+        raise UsageError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _read(path: str) -> str:
@@ -137,7 +138,7 @@ def _emit(args, out, payload: dict, text: str) -> None:
 
 def _cmd_dim(args, out) -> int:
     base = _load_order(args.order)
-    res = order_dimension(base, args.method, _resolve_budget(args))
+    res = order_dimension(base, _resolve_budget(args))
     _emit(
         args,
         out,
@@ -266,17 +267,9 @@ def _cmd_g0(args, out) -> int:
             f"violations={len(rep.violations)}",
         )
         return 0 if rep.ok else 1
-    ok = prefix_monotone(sel, sigma)
-    counterexample = None
-    if not ok:
-        vals = [sel(sigma[:m]) for m in range(len(sigma))]
-        for m in range(len(sigma)):
-            for n in range(m, len(sigma)):
-                if vals[n][:m] == vals[m] and sigma[m] > sigma[n]:
-                    counterexample = [m, n]
-                    break
-            if counterexample:
-                break
+    pair = monotone_counterexample(sel, sigma)
+    ok = pair is None
+    counterexample = None if ok else list(pair)
     _emit(
         args,
         out,
@@ -373,13 +366,7 @@ def _cmd_verify(args, out) -> int:
         )
     budget = _resolve_budget(args)
     total = 0
-    for cert in run_campaign(
-        args.name,
-        n=args.n,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-        budget=budget,
-    ):
+    for cert in run_campaign(args.name, n=args.n, seed=args.seed, budget=budget):
         total += 1
         out.write(dumps(cert.to_payload()))
         if not cert.verified:
@@ -418,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dim", help="order dimension of a quasi order")
     p.add_argument("order")
-    p.add_argument(
-        "--method", choices=("via_dicr", "realizer"), default="via_dicr"
-    )
     _add_common(p)
     p.set_defaults(handler=_cmd_dim)
 
@@ -494,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -519,7 +502,17 @@ def run(argv) -> int:
             return 2
         close = True
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; send what is still buffered to
+        # /dev/null so the flush at exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        print("error: output pipe closed", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

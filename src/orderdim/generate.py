@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .digraphs import Digraph, digraph
 from .errors import IndexOutOfRange, TooLarge
 from .relations import QuasiOrder, bits_of, quasi_order, transpose_rows
@@ -149,36 +147,3 @@ def _strict_rows(m: int):
                 ]
                 rows.append(umask)
                 yield rows
-
-
-
-def brute_force_poset_count(n: int) -> int:
-    """Labeled poset census by scanning every irreflexive relation.
-
-    Vectorized filter over all 2^(n(n-1)) candidate strict relations,
-    keeping the antisymmetric transitive ones. Independent of
-    enumerate_posets by construction; guarded to n <= 5.
-    """
-    if n < 0:
-        raise IndexOutOfRange(f"negative ground set size {n}")
-    if n > 5:
-        raise TooLarge(f"brute census guarded to n <= 5, got {n}")
-    if n == 0:
-        return 1
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    m = len(off)
-    total = 0
-    chunk = 1 << 18
-    for start in range(0, 1 << m, chunk):
-        count = min(chunk, (1 << m) - start)
-        ids = np.arange(start, start + count, dtype=np.int64)
-        mats = np.zeros((count, n, n), dtype=bool)
-        for b, (i, j) in enumerate(off):
-            mats[:, i, j] = (ids >> b) & 1
-        anti = ~(mats & mats.transpose(0, 2, 1)).any(axis=(1, 2))
-        prod = (
-            np.matmul(mats.astype(np.uint8), mats.astype(np.uint8)) > 0
-        )
-        trans = ~(prod & ~mats).any(axis=(1, 2))
-        total += int((anti & trans).sum())
-    return total

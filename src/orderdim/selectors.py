@@ -235,17 +235,23 @@ def density_report(selector, f, depth: int) -> DensityReport:
     return DensityReport(tuple(witnessed), tuple(unresolved), tuple(violations))
 
 
-def prefix_monotone(selector, f) -> bool:
-    """Branching factors never drop along selected-prefix containment.
+def monotone_counterexample(selector, f) -> tuple[int, int] | None:
+    """First pair of prefix lengths (m, n) breaking prefix monotonicity.
 
     Whenever the value at prefix length m is an initial segment of the
     value at length n, the branching factor at position m must not exceed
-    the one at n. Quantified over prefix lengths with defined factors.
+    the one at n. Quantified over prefix lengths with defined factors,
+    scanned in (m, n) order; None when no pair breaks the rule.
     """
     f = check_sigma(f)
     vals = [_selector_value(selector, f[:m]) for m in range(len(f))]
     for m in range(len(f)):
         for n in range(m, len(f)):
             if vals[n][:m] == vals[m] and f[m] > f[n]:
-                return False
-    return True
+                return m, n
+    return None
+
+
+def prefix_monotone(selector, f) -> bool:
+    """Branching factors never drop along selected-prefix containment."""
+    return monotone_counterexample(selector, f) is None

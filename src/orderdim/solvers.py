@@ -20,7 +20,6 @@ from .reduction import (
 )
 from .relations import (
     QuasiOrder,
-    QuotientPoset,
     bits_of,
     quotient,
     transpose_rows,
@@ -259,109 +258,20 @@ def _assign_colors(
             trial[depth] += 1
 
 
-def _linear_class_orders(qt: QuotientPoset) -> list[tuple[int, ...]]:
-    """Every rank assignment of classes compatible with the strict order."""
-    m = qt.size
-    out: list[tuple[int, ...]] = []
-    rank = [-1] * m
-    preds = [
-        sum(1 << a for a in range(m) if qt.lt(a, b)) for b in range(m)
-    ]
-
-    def place(step: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(rank))
-            return
-        for c in bits_of(remaining):
-            if preds[c] & remaining == 0:
-                rank[c] = step
-                place(step + 1, remaining & ~(1 << c))
-                rank[c] = -1
-
-    place(0, (1 << m) - 1)
-    return out
-
-
-def _lift_linear(q: QuasiOrder, qt: QuotientPoset, rank: tuple[int, ...]) -> QuasiOrder:
-    rows = [0] * q.n
-    for x in range(q.n):
-        rx = rank[qt.class_of[x]]
-        for y in range(q.n):
-            if rx <= rank[qt.class_of[y]]:
-                rows[x] |= 1 << y
-    return QuasiOrder(q.n, tuple(rows))
-
-
 def order_dimension(
-    q: QuasiOrder,
-    method: str = "via_dicr",
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    q: QuasiOrder, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> DimResult:
     """Least size of an extension family deciding every ordered pair.
 
-    via_dicr covers the pair digraph with acyclic classes and converts the
-    cover; realizer searches directly for the fewest total extensions whose
-    members decide every pair. Both are exact and agree; quotients with at
-    most one class need no extension at all, so the answer there is 0.
+    Covers the pair digraph with the fewest acyclic classes and converts
+    the cover into that many extensions. Quotients with at most one class
+    need no extension at all, so the answer there is 0.
     """
-    if method not in ("via_dicr", "realizer"):
-        raise ValueError(f"unknown method {method!r}")
-    qt = quotient(q)
-    if qt.size <= 1:
+    if quotient(q).size <= 1:
         return DimResult(0, ExtensionFamily(q, ()))
-    if method == "via_dicr":
-        ap, _ = pair_digraph(q)
-        res = dichromatic_number(ap, budget)
-        return DimResult(res.k, cover_to_extensions(q, res.witness))
-    m = qt.size
-    universe = [
-        (a, b)
-        for a in range(m)
-        for b in range(m)
-        if a != b and not qt.lt(a, b)
-    ]
-    pair_index = {p: i for i, p in enumerate(universe)}
-    full = (1 << len(universe)) - 1
-    linears = _linear_class_orders(qt)
-    masks = []
-    for rank in linears:
-        mask = 0
-        for (a, b), i in pair_index.items():
-            if rank[b] < rank[a]:
-                mask |= 1 << i
-        masks.append(mask)
-    counter = [0]
-    for dd in range(1, len(linears) + 1):
-        chosen = _cover_search(masks, full, dd, budget, counter)
-        if chosen is not None:
-            exts = tuple(_lift_linear(q, qt, linears[i]) for i in chosen)
-            return DimResult(dd, ExtensionFamily(q, exts))
-    raise AssertionError("all linear extensions together decide every pair")
-
-
-def _cover_search(
-    masks: list[int], full: int, dd: int, budget: int, counter: list[int]
-) -> list[int] | None:
-    """Depth-limited exact set cover: branch on the first uncovered pair."""
-
-    def go(covered: int, start_depth: int, chosen: list[int]) -> list[int] | None:
-        if covered == full:
-            return chosen
-        if start_depth == dd:
-            return None
-        missing = covered ^ full
-        bit = missing & -missing
-        for i, mask in enumerate(masks):
-            if mask & bit:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise LimitExceeded(budget, "realizer cover search")
-                got = go(covered | mask, start_depth + 1, chosen + [i])
-                if got is not None:
-                    return got
-        return None
-
-    return go(0, 0, [])
+    ap, _ = pair_digraph(q)
+    res = dichromatic_number(ap, budget)
+    return DimResult(res.k, cover_to_extensions(q, res.witness))
 
 
 def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:

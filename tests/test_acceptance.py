@@ -13,7 +13,6 @@ from collections import Counter
 import pytest
 
 from orderdim import (
-    brute_force_poset_count,
     dichromatic_number,
     enumerate_posets,
     order_dimension,
@@ -21,6 +20,8 @@ from orderdim import (
     quotient,
 )
 from orderdim.campaigns import run_campaign
+
+from .oracles import brute_dimension, brute_force_poset_count
 
 
 def report(tag: str, budget_s: float, fn):
@@ -48,14 +49,14 @@ def test_ac01_dimension_equals_pair_digraph_dicr(posets_by_size):
                 "census mismatch against the independent filter"
             )
             for q in posets:
-                via = order_dimension(q, "via_dicr")
-                rea = order_dimension(q, "realizer")
+                via = order_dimension(q)
+                brute = brute_dimension(q)
                 ap, _ = pair_digraph(q)
                 k = dichromatic_number(ap).k
                 if quotient(q).size >= 2:
-                    assert via.d == rea.d == k, (n, q.rows, via.d, rea.d, k)
+                    assert via.d == brute == k, (n, q.rows, via.d, brute, k)
                 else:
-                    assert via.d == rea.d == 0
+                    assert via.d == brute == 0
                 swept += 1
         return f"{swept} posets, census regenerated for n<=5"
 

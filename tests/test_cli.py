@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orderdim
 from orderdim.cli import main, run
 
 
@@ -13,6 +18,16 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child(*args, **kwargs):
+    """Start a fresh interpreter that imports this same orderdim."""
+    env = dict(os.environ)
+    src = str(Path(orderdim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
 def write(tmp_path, name, doc):
@@ -54,8 +69,6 @@ def test_dicr_json_output(capsys, c3):
 
 def test_dim_both_methods_agree(capsys, crown):
     code, out, _ = invoke(capsys, "dim", crown)
-    assert code == 0 and json.loads(out)["d"] == 3
-    code, out, _ = invoke(capsys, "dim", crown, "--method", "realizer")
     assert code == 0 and json.loads(out)["d"] == 3
 
 
@@ -180,6 +193,12 @@ def test_negative_budget_is_usage_error(capsys, c3):
     assert code == 2 and out == "" and "--budget" in err
 
 
+def test_negative_budget_env_is_usage_error(capsys, c3, monkeypatch):
+    monkeypatch.setenv("DICHRO_BUDGET", "-5")
+    code, out, err = invoke(capsys, "dicr", c3)
+    assert code == 2 and out == "" and "DICHRO_BUDGET" in err
+
+
 def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     c6 = write(
         tmp_path,
@@ -275,3 +294,31 @@ def test_usage_errors_from_argparse(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2
     assert run(["dim"]) == 2
+
+
+def test_removed_options_are_unknown(capsys, crown):
+    for argv in (["dim", crown, "--method", "realizer"],
+                 ["verify", "g0", "--exhaustive"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_closed_stdout_pipe_exits_two():
+    proc = child(
+        "-m", "orderdim.cli", "enumerate", "--n", "6",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "pipe" in err
+
+
+def test_import_does_not_load_numpy():
+    proc = child(
+        "-c", "import orderdim, sys; assert 'numpy' not in sys.modules",
+        stderr=subprocess.PIPE,
+    )
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()

@@ -9,7 +9,6 @@ from orderdim import (
     antichain_order,
     bidirected_clique,
     boolean_order,
-    brute_force_poset_count,
     chain_order,
     crown_order,
     directed_cycle,
@@ -21,7 +20,11 @@ from orderdim import (
     random_symmetric,
 )
 
-from .oracles import relation_is_reflexive, relation_is_transitive
+from .oracles import (
+    brute_force_poset_count,
+    relation_is_reflexive,
+    relation_is_transitive,
+)
 
 
 def test_fixed_shapes():

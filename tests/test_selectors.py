@@ -18,6 +18,7 @@ from orderdim import (
     is_minimal_cycle,
     level_edge_count,
     minimal_cycles,
+    monotone_counterexample,
     nth_sequence,
     prefix_monotone,
     selector_digraph,
@@ -207,3 +208,6 @@ def test_monotone_outcomes():
     assert prefix_monotone(sel, (4, 4))
     assert prefix_monotone(sel, (2, 3))
     assert not prefix_monotone(sel, (3, 2))
+    assert monotone_counterexample(sel, (2, 3)) is None
+    assert monotone_counterexample(sel, (3, 2)) == (0, 1)
+    assert monotone_counterexample(sel, (4, 2, 3)) == (0, 1)

@@ -138,28 +138,20 @@ def test_dimension_convention_small_quotients():
         assert res.witness.size == 0
 
 
-def test_dimension_known_values_both_methods():
+def test_dimension_known_values():
     for base, want in (
         (chain_order(4), 1),
         (antichain_order(3), 2),
         (crown_order(3), 3),
     ):
-        assert order_dimension(base, "via_dicr").d == want
-        assert order_dimension(base, "realizer").d == want
-
-
-def test_dimension_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        order_dimension(chain_order(2), "guess")
+        assert order_dimension(base).d == want
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_dimension_agreement_with_pair_digraph_route(seed):
     base = random_quasi(1 + seed % 5, 0.3, seed)
-    via = order_dimension(base, "via_dicr")
-    rea = order_dimension(base, "realizer")
-    assert via.d == rea.d
+    via = order_dimension(base)
     if quotient(base).size > 1:
         ap, _ = pair_digraph(base)
         assert via.d == dichromatic_number(ap).k
