@@ -30,6 +30,7 @@ from .relations import (
     bits_of,
     close_rows,
     extends,
+    quotient,
     transpose_rows,
 )
 
@@ -66,18 +67,51 @@ def pair_digraph(
         for y in range(q.n)
         if not q.leq(y, x) and not (incomparable_only and q.leq(x, y))
     ]
-    pvm = PairVertexMap(tuple(pairs))
-    m = len(pairs)
+    return _pair_edges(q, pairs), PairVertexMap(tuple(pairs))
+
+
+def _pair_edges(q: QuasiOrder, pairs) -> Digraph:
+    """Digraph on the given pairs: (x0, y0) -> (x1, y1) iff y0 <= x1."""
     first_mask = [0] * q.n
     for vid, (x, _) in enumerate(pairs):
         first_mask[x] |= 1 << vid
-    rows = [0] * m
-    for vid, (_, y) in enumerate(pairs):
+    rows = []
+    for _, y in pairs:
         row = 0
         for x1 in bits_of(q.rows[y]):
             row |= first_mask[x1]
-        rows[vid] = row
-    return Digraph(m, tuple(rows)), pvm
+        rows.append(row)
+    return Digraph(len(pairs), tuple(rows))
+
+
+def critical_pair_digraph(
+    q: QuasiOrder,
+) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
+    """Pair digraph induced on the reversals of the critical pairs of q.
+
+    On the quotient, with each class named by its least member, (a, b) is
+    critical when a and b are incomparable, everything strictly below a
+    is below b and everything strictly above b is above a. Its vertex is
+    (b, a), the pair an extension must add to reverse it; vertices come
+    in lexicographic order, edges follow pair_digraph. A family of linear
+    extensions realizes q iff it reverses every critical pair (Trotter),
+    so the dichromatic number of this digraph is the dimension whenever q
+    has an incomparable pair.
+    """
+    qt = quotient(q)
+    m = qt.size
+    up = qt.lt_rows
+    down = transpose_rows(up, m)
+    pairs = sorted(
+        (qt.classes[b][0], qt.classes[a][0])
+        for a in range(m)
+        for b in range(m)
+        if a != b
+        and not ((up[a] | down[a]) >> b) & 1
+        and down[a] & ~down[b] == 0
+        and up[b] & ~up[a] == 0
+    )
+    return _pair_edges(q, pairs), tuple(pairs)
 
 
 def extension_pairs(

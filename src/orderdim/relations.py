@@ -180,26 +180,27 @@ class QuotientPoset:
 
 def quotient(q: QuasiOrder) -> QuotientPoset:
     """Collapse mutual pairs of q into classes; order classes strictly."""
+    cols = transpose_rows(q.rows, q.n)
     class_of = [-1] * q.n
     classes: list[tuple[int, ...]] = []
-    for i in range(q.n):
-        if class_of[i] >= 0:
-            continue
-        members = [j for j in bits_of(q.rows[i]) if q.leq(j, i)]
-        ci = len(classes)
-        for j in members:
-            class_of[j] = ci
-        classes.append(tuple(members))
-    m = len(classes)
-    lt_rows = [0] * m
-    for a in range(m):
-        ra = classes[a][0]
-        for b in range(m):
-            if a == b:
-                continue
-            rb = classes[b][0]
-            if q.leq(ra, rb) and not q.leq(rb, ra):
-                lt_rows[a] |= 1 << b
+    left = (1 << q.n) - 1
+    while left:
+        i = (left & -left).bit_length() - 1
+        members = q.rows[i] & cols[i]
+        for j in bits_of(members):
+            class_of[j] = len(classes)
+        classes.append(tuple(bits_of(members)))
+        left &= ~members
+    reps = 0
+    for cls in classes:
+        reps |= 1 << cls[0]
+    lt_rows = []
+    for cls in classes:
+        r = cls[0]
+        row = 0
+        for j in bits_of(q.rows[r] & ~cols[r] & reps):
+            row |= 1 << class_of[j]
+        lt_rows.append(row)
     return QuotientPoset(tuple(classes), tuple(class_of), tuple(lt_rows))
 
 
@@ -225,26 +226,26 @@ def linear_extension(q: QuasiOrder) -> QuasiOrder:
     id, lifted back to the ground set.
     """
     qt = quotient(q)
-    m = qt.size
-    placed = 0
-    rank = [-1] * m
-    remaining = set(range(m))
+    below = transpose_rows(qt.lt_rows, qt.size)
+    # Kahn peel; class ids follow least members, so the lowest ready id
+    # is the tie-break
+    order = []
+    remaining = (1 << qt.size) - 1
     while remaining:
-        ready = [
-            c
-            for c in remaining
-            if all(not qt.lt(d, c) for d in remaining if d != c)
-        ]
-        pick = min(ready, key=lambda c: qt.classes[c][0])
-        rank[pick] = placed
-        placed += 1
-        remaining.remove(pick)
-    rows = [0] * q.n
-    for x in range(q.n):
-        for y in range(q.n):
-            if rank[qt.class_of[x]] <= rank[qt.class_of[y]]:
-                rows[x] |= 1 << y
-    return QuasiOrder(q.n, tuple(rows))
+        ready = remaining
+        while below[(ready & -ready).bit_length() - 1] & remaining:
+            ready &= ready - 1
+        c = (ready & -ready).bit_length() - 1
+        order.append(c)
+        remaining ^= 1 << c
+    # a class lies below itself and every class peeled after it
+    up = [0] * qt.size
+    suffix = 0
+    for c in reversed(order):
+        for x in qt.classes[c]:
+            suffix |= 1 << x
+        up[c] = suffix
+    return QuasiOrder(q.n, tuple(up[c] for c in qt.class_of))
 
 
 def down_set_sizes(q: QuasiOrder) -> tuple[int, ...]:

@@ -15,17 +15,25 @@ from .reduction import (
     AcyclicCover,
     ExtensionFamily,
     check_cover,
-    cover_to_extensions,
-    pair_digraph,
+    critical_pair_digraph,
+    extend_by_pairs,
 )
 from .relations import (
     QuasiOrder,
     bits_of,
+    linear_extension,
     quotient,
     transpose_rows,
 )
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
+
+
+def _check_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(
+            f"budget must be an int, got {type(budget).__name__} {budget!r}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +175,7 @@ def dichromatic_number(
     the per-component optima are overlaid; singleton components carry no
     cycle and join the first class.
     """
+    _check_budget(budget)
     if d.n == 0:
         return DicrResult(0, AcyclicCover(()))
     cols = transpose_rows(d.rows, d.n)
@@ -195,6 +204,7 @@ def chromatic_number(
     g: Digraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Exact proper coloring of a symmetric digraph: (count, colors)."""
+    _check_budget(budget)
     if not g.is_symmetric():
         raise NotAGraph("chromatic number needs a symmetric edge relation")
     if g.n == 0:
@@ -263,15 +273,24 @@ def order_dimension(
 ) -> DimResult:
     """Least size of an extension family deciding every ordered pair.
 
-    Covers the pair digraph with the fewest acyclic classes and converts
-    the cover into that many extensions. Quotients with at most one class
-    need no extension at all, so the answer there is 0.
+    Covers the critical-pair subdigraph of the pair digraph with the
+    fewest acyclic classes and lifts each class to a linear extension that
+    reverses its pairs. Quotients with at most one class need no extension
+    at all, so the answer there is 0; a chain has no critical pair and
+    answers 1 with its own linear extension.
     """
+    _check_budget(budget)
     if quotient(q).size <= 1:
         return DimResult(0, ExtensionFamily(q, ()))
-    ap, _ = pair_digraph(q)
-    res = dichromatic_number(ap, budget)
-    return DimResult(res.k, cover_to_extensions(q, res.witness))
+    cp, pairs = critical_pair_digraph(q)
+    if cp.n == 0:
+        return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
+    res = dichromatic_number(cp, budget)
+    exts = tuple(
+        linear_extension(extend_by_pairs(q, [pairs[v] for v in cls]))
+        for cls in res.witness.classes
+    )
+    return DimResult(res.k, ExtensionFamily(q, exts))
 
 
 def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:

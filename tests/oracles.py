@@ -11,7 +11,13 @@ import itertools
 
 import numpy as np
 
-from orderdim import Digraph, IndexOutOfRange, QuasiOrder, TooLarge
+from orderdim import (
+    Digraph,
+    IndexOutOfRange,
+    QuasiOrder,
+    QuotientPoset,
+    TooLarge,
+)
 
 
 def subset_is_acyclic(d: Digraph, members: tuple[int, ...]) -> bool:
@@ -159,6 +165,79 @@ def _classes(q: QuasiOrder) -> list[list[int]]:
         else:
             seen.append([x])
     return seen
+
+
+def critical_pairs(q: QuasiOrder) -> list[tuple[int, int]]:
+    """Critical pairs (a, b) of the quotient, on least class members.
+
+    a and b are incomparable, everything strictly below a is below b and
+    everything strictly above b is above a. Straight from the definition.
+    """
+    reps = [grp[0] for grp in _classes(q)]
+
+    def lt(x, y):
+        return q.leq(x, y) and not q.leq(y, x)
+
+    return [
+        (a, b)
+        for a in reps
+        for b in reps
+        if a != b
+        and not q.leq(a, b)
+        and not q.leq(b, a)
+        and all(lt(c, b) for c in reps if lt(c, a))
+        and all(lt(a, c) for c in reps if lt(b, c))
+    ]
+
+
+def loop_quotient(q: QuasiOrder) -> QuotientPoset:
+    """The element-by-element quotient the bitmask version replaced."""
+    class_of = [-1] * q.n
+    classes: list[tuple[int, ...]] = []
+    for i in range(q.n):
+        if class_of[i] >= 0:
+            continue
+        members = [j for j in range(q.n) if q.leq(i, j) and q.leq(j, i)]
+        ci = len(classes)
+        for j in members:
+            class_of[j] = ci
+        classes.append(tuple(members))
+    m = len(classes)
+    lt_rows = [0] * m
+    for a in range(m):
+        ra = classes[a][0]
+        for b in range(m):
+            if a == b:
+                continue
+            rb = classes[b][0]
+            if q.leq(ra, rb) and not q.leq(rb, ra):
+                lt_rows[a] |= 1 << b
+    return QuotientPoset(tuple(classes), tuple(class_of), tuple(lt_rows))
+
+
+def loop_linear_extension(q: QuasiOrder) -> QuasiOrder:
+    """The set-scan linear extension the bitmask version replaced."""
+    qt = loop_quotient(q)
+    m = qt.size
+    placed = 0
+    rank = [-1] * m
+    remaining = set(range(m))
+    while remaining:
+        ready = [
+            c
+            for c in remaining
+            if all(not qt.lt(d, c) for d in remaining if d != c)
+        ]
+        pick = min(ready, key=lambda c: qt.classes[c][0])
+        rank[pick] = placed
+        placed += 1
+        remaining.remove(pick)
+    rows = [0] * q.n
+    for x in range(q.n):
+        for y in range(q.n):
+            if rank[qt.class_of[x]] <= rank[qt.class_of[y]]:
+                rows[x] |= 1 << y
+    return QuasiOrder(q.n, tuple(rows))
 
 
 def relation_is_reflexive(rows: tuple[int, ...]) -> bool:

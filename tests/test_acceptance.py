@@ -50,6 +50,7 @@ def test_ac01_dimension_equals_pair_digraph_dicr(posets_by_size):
             )
             for q in posets:
                 via = order_dimension(q)
+                assert all(e.is_total() for e in via.witness.exts)
                 brute = brute_dimension(q)
                 ap, _ = pair_digraph(q)
                 k = dichromatic_number(ap).k

@@ -21,6 +21,7 @@ from orderdim import (
     check_cover,
     closure_path,
     cover_to_extensions,
+    critical_pair_digraph,
     crown_order,
     dichromatic_number,
     extend_by_pairs,
@@ -41,6 +42,8 @@ from orderdim import (
 )
 from orderdim.relations import StrictOrder
 from orderdim.rng import SplitMix64
+
+from .oracles import critical_pairs
 
 
 def test_pair_digraph_of_three_chain():
@@ -63,6 +66,34 @@ def test_pair_digraph_incomparable_restriction():
             assert bp.adj(bpm.index((x, y)), bpm.index((u, v))) == ap.adj(
                 idx[(x, y)], idx[(u, v)]
             )
+
+
+def test_critical_pairs_of_a_crown_are_its_matched_pairs():
+    cp, pairs = critical_pair_digraph(crown_order(3))
+    assert pairs == ((3, 0), (4, 1), (5, 2))
+    assert sorted(cp.edges()) == [
+        (i, j) for i in range(3) for j in range(3) if i != j
+    ]
+    cp, pairs = critical_pair_digraph(chain_order(3))
+    assert cp.n == 0 and pairs == ()
+
+
+@given(
+    st.integers(0, 8),
+    st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150)
+def test_critical_pair_digraph_is_induced_on_critical_pairs(n, p, seed):
+    q = random_quasi(n, p, seed)
+    cp, pairs = critical_pair_digraph(q)
+    assert list(pairs) == sorted((b, a) for a, b in critical_pairs(q))
+    ap, pvm = pair_digraph(q)
+    ids = [pvm.index(v) for v in pairs]
+    assert cp.n == len(pairs)
+    for i, u in enumerate(ids):
+        for j, v in enumerate(ids):
+            assert cp.adj(i, j) == ap.adj(u, v)
 
 
 def test_comparable_pairs_induce_acyclic_subgraph():

@@ -21,7 +21,12 @@ from orderdim import (
 )
 from orderdim.errors import IndexOutOfRange
 
-from .oracles import relation_is_reflexive, relation_is_transitive
+from .oracles import (
+    loop_linear_extension,
+    loop_quotient,
+    relation_is_reflexive,
+    relation_is_transitive,
+)
 
 
 def pair_sets(max_n: int = 6):
@@ -127,6 +132,18 @@ def test_linear_extension_breaks_ties_by_least_member():
     lin = linear_extension(q)
     assert lin.leq(0, 1) and lin.leq(1, 2)
     assert not lin.leq(1, 0)
+
+
+@given(
+    st.integers(0, 20),
+    st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150)
+def test_bitmask_quotient_and_linear_extension_match_loop_versions(n, p, seed):
+    q = random_quasi(n, p, seed)
+    assert quotient(q) == loop_quotient(q)
+    assert linear_extension(q) == loop_linear_extension(q)
 
 
 def test_down_set_sizes_counts_predecessors():

@@ -1,8 +1,9 @@
 """Identity gate for the exact cover search and the campaigns.
 
 Pins, on fixed instances, the exact number of search nodes
-`dichromatic_number` visits on the pair digraph and the sha256 of the
-canonical `order_dimension` output. A change to the solver that keeps the
+`dichromatic_number` visits on the full pair digraph and on its
+critical-pair subdigraph (the one `order_dimension` searches), and the
+sha256 of the canonical `order_dimension` output. A change to the solver that keeps the
 search keeps both; one that changes the visit order, the node count or
 the chosen cover fails here and has to say why. The canonical lines of
 every certificate campaign are pinned the same way.
@@ -17,6 +18,7 @@ import pytest
 from orderdim import (
     LimitExceeded,
     boolean_order,
+    critical_pair_digraph,
     crown_order,
     dichromatic_number,
     order_dimension,
@@ -26,52 +28,64 @@ from orderdim import (
 from orderdim.campaigns import CAMPAIGNS, run_campaign
 from orderdim.serialize import dumps, family_payload
 
-# (label, poset, search nodes, sha256 of the canonical dimension output)
+# (label, poset, search nodes on the full pair digraph, search nodes on the
+# critical-pair digraph, sha256 of the canonical dimension output)
 PINNED = [
     (
         "crown_order(5)",
         lambda: crown_order(5),
         104,
-        "6f8545093fa5d1bc6bbcb7e1e1bfc1f2f35c684c59c3ce193540ec4e2d0e20ab",
+        15,
+        "fae16a6f1c9e87d6de1bcd27d54326ae1e09795af65ed87dc204003921a2da44",
     ),
     (
         "boolean_order(4)",
         lambda: boolean_order(4),
         237,
-        "11e28b2a8fa2a96081efa6dec8a88acdb210902a3c324cc694a412cf077f92f2",
+        10,
+        "0621a8faa8f47aac6b9e1c72260086a8eeef9cfb1584516aa0fb729d2b16c301",
     ),
     (
         "random_order(14, 0.2, 0)",
         lambda: random_order(14, 0.2, 0),
         540,
-        "eff005c9dc941c145b20f3ebe8063efc88ad2abdbe5d4cc8cb1026d59a0d2d9a",
+        173,
+        "749f887a3f435d2b354609b034d78631a97afe1076797c6a0a7ea21692f54a6c",
     ),
     (
         "random_order(16, 0.3, 2)",
         lambda: random_order(16, 0.3, 2),
         17_595,
-        "96bbf07436f5806324d66f0f9d6e2d917fd01028ca800b0a3827b75aee93cf74",
+        115,
+        "70546ed4c06aaf62b5fbd3386d5853d46b5d8db92eb9c35c111c264b1fbfedd5",
     ),
     (
         "random_order(20, 0.45, 2)",
         lambda: random_order(20, 0.45, 2),
         13_884,
-        "eb5f674303c71be3701cf93f12cadb5297a28a4b48d52e02ce3f8ebb1280bcc0",
+        48,
+        "61ad1cf2eb6837cf702bbdb2b6c3ad0aa2a38f864e4464f70db0d08618686e7c",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, nodes, digest", [p[1:] for p in PINNED], ids=[p[0] for p in PINNED]
+    "make, nodes, cp_nodes, digest",
+    [p[1:] for p in PINNED],
+    ids=[p[0] for p in PINNED],
 )
-def test_search_nodes_and_output_bytes_are_pinned(make, nodes, digest):
+def test_search_nodes_and_output_bytes_are_pinned(make, nodes, cp_nodes, digest):
     q = make()
+    # each node count is a budget boundary: enough at N, exceeded at N-1
     ap, _ = pair_digraph(q)
-    # the node count is the budget boundary: enough at N, exceeded at N-1
     res = dichromatic_number(ap, budget=nodes)
     with pytest.raises(LimitExceeded):
         dichromatic_number(ap, budget=nodes - 1)
-    r = order_dimension(q)
+    cp, _ = critical_pair_digraph(q)
+    assert dichromatic_number(cp, budget=cp_nodes).k == res.k
+    with pytest.raises(LimitExceeded):
+        dichromatic_number(cp, budget=cp_nodes - 1)
+    r = order_dimension(q, budget=cp_nodes)
     assert r.d == res.k
     text = dumps({"d": r.d, "family": family_payload(r.witness)})
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -80,9 +94,9 @@ def test_search_nodes_and_output_bytes_are_pinned(make, nodes, digest):
 # sha256 of every campaign's canonical certificate lines (the stdout of
 # `orderdim verify NAME`) at default size and seed 0
 CAMPAIGN_DIGESTS = {
-    "odim-eq-dicr": "95544a2ed8977dba8f1b765f1075f0c28e6d2260a7de7bfd4fa759544bde1041",
-    "dim-agreement": "2ff18407ae03f4e845bdea2be9f76df481ab45aa06e81cce0cd3221c6e4a86d3",
-    "dim-landmarks": "feb0f83d34889667526aa9157bf8068d1075b909edad9f9a2d139e3071845a1e",
+    "odim-eq-dicr": "49081066d49adcf821014ee6e13f6aa77b6b586bb2421d9cd451a7e6d9d5bb2f",
+    "dim-agreement": "e0ce9145f269ced1d52521ec2c3ea13f976b51eec688b08aa518e5ef40645386",
+    "dim-landmarks": "2b73d6507148f7756bb1fe927ac0621f05d012a26d954d66df9accbd707fa90d",
     "dicr-landmarks": "3b34f5cce08687947c43fcd1eeb72b49ae47b0e70e453506728d21d482828e7a",
     "graph-collapse": "a81194cd76bca39c705f970a9a36d5db29056265842a71c5745c028cb8774d0c",
     "h1plus": "f38a64e19adeaed9c9a3848f3c1fde1e0343430d3aeb499d22cb1a4daedfc4af",

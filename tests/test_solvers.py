@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orderdim import (
@@ -158,6 +158,26 @@ def test_dimension_agreement_with_pair_digraph_route(seed):
     brute = brute_dimension(base)
     if brute is not None:
         assert via.d == brute
+
+
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
+    base = random_quasi(n, 0.3, seed)
+    assume(1 < quotient(base).size < n)
+    res = order_dimension(base)
+    assert res.d == brute_dimension(base)
+    assert all(ext.is_total() for ext in res.witness.exts)
+
+
+def test_budget_must_be_an_int():
+    for bad in ("via_dicr", 10.0, None, True):
+        with pytest.raises(TypeError, match="budget"):
+            order_dimension(crown_order(2), bad)
+        with pytest.raises(TypeError, match="budget"):
+            dichromatic_number(directed_cycle(3), bad)
+        with pytest.raises(TypeError, match="budget"):
+            chromatic_number(bidirected_clique(2), bad)
 
 
 def test_realizer_oracle_matches_and_guards():
