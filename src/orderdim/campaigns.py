@@ -120,7 +120,9 @@ def check_odim_eq_dicr(instance: dict, witness: dict) -> bool:
         cover = cover_from_payload(witness["cover"])
         ap, _ = pair_digraph(base)
         check_cover(ap, cover)
-        return len(cover.classes) == d or (d == 0 and not cover.classes)
+        if not (len(cover.classes) == d or (d == 0 and not cover.classes)):
+            return False
+        return realizer_oracle(base, max(d, 1)) == d
     except (OrderdimError, KeyError, TypeError):
         return False
 

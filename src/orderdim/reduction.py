@@ -189,9 +189,6 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     offending pairs form a pair-digraph cycle, raised as CycleInX.
     """
     pair_rows = _pair_rows(base, pairs)
-    plist = sorted(
-        {(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])}
-    )
     rows = close_rows(
         [base.rows[i] | pair_rows[i] for i in range(base.n)], base.n
     )
@@ -208,6 +205,7 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     if merged is None:
         return QuasiOrder(base.n, tuple(rows))
     x, y = merged
+    plist = [(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])]
     if base.leq(x, y):
         cycle = closure_path(base, plist, y, x)
     elif base.leq(y, x):
@@ -252,12 +250,15 @@ def check_cover(d: Digraph, cover: AcyclicCover) -> None:
 def undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
     """First ordered pair no extension settles: neither base(x,y) nor any
     ext placing y below x. None when the family decides everything."""
-    for x in range(base.n):
-        for y in range(base.n):
-            if base.leq(x, y):
-                continue
-            if not any(e.leq(y, x) for e in exts):
-                return (x, y)
+    settled = list(base.rows)
+    for e in exts:
+        for x, col in enumerate(transpose_rows(e.rows, e.n)):
+            settled[x] |= col
+    full = (1 << base.n) - 1
+    for x, row in enumerate(settled):
+        open_bits = full & ~row
+        if open_bits:
+            return (x, (open_bits & -open_bits).bit_length() - 1)
     return None
 
 

@@ -222,30 +222,32 @@ def extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
 def linear_extension(q: QuasiOrder) -> QuasiOrder:
     """One deterministic total extension of q.
 
-    Topological order of the quotient classes, ties broken by least member
-    id, lifted back to the ground set.
+    Topological order of the mutual-relation classes, ties broken by
+    least member id, lifted back to the ground set.
     """
-    qt = quotient(q)
-    below = transpose_rows(qt.lt_rows, qt.size)
-    # Kahn peel; class ids follow least members, so the lowest ready id
-    # is the tie-break
+    cols = transpose_rows(q.rows, q.n)
+    below = [c & ~r for r, c in zip(q.rows, cols)]
+    # Kahn peel on elements: a class is ready with all of its members, so
+    # the lowest ready element is the least member of the class with the
+    # least such member, the tie-break
     order = []
-    remaining = (1 << qt.size) - 1
+    remaining = (1 << q.n) - 1
     while remaining:
         ready = remaining
         while below[(ready & -ready).bit_length() - 1] & remaining:
             ready &= ready - 1
-        c = (ready & -ready).bit_length() - 1
-        order.append(c)
-        remaining ^= 1 << c
+        x = (ready & -ready).bit_length() - 1
+        members = q.rows[x] & cols[x]
+        order.append(members)
+        remaining &= ~members
     # a class lies below itself and every class peeled after it
-    up = [0] * qt.size
+    rows = [0] * q.n
     suffix = 0
-    for c in reversed(order):
-        for x in qt.classes[c]:
-            suffix |= 1 << x
-        up[c] = suffix
-    return QuasiOrder(q.n, tuple(up[c] for c in qt.class_of))
+    for members in reversed(order):
+        suffix |= members
+        for x in bits_of(members):
+            rows[x] = suffix
+    return QuasiOrder(q.n, tuple(rows))
 
 
 def down_set_sizes(q: QuasiOrder) -> tuple[int, ...]:

@@ -48,18 +48,20 @@ class DimResult:
     witness: ExtensionFamily
 
 
-def _greedy_mutual_clique(rows, cols, verts) -> list[int]:
+def _mutual_rows(rows, cols, verts) -> dict[int, int]:
+    """Mutual (2-cycle) neighbours of each vertex inside verts."""
+    comp_mask = sum(1 << v for v in verts)
+    return {v: rows[v] & cols[v] & comp_mask for v in verts}
+
+
+def _greedy_mutual_clique(mut: dict[int, int]) -> list[int]:
     """A clique of pairwise mutual edges; its size lower-bounds the answer.
 
     Greedy: repeatedly take the candidate with the most mutual neighbours
     among the remaining candidates (ties to the least id).
     """
-    comp_mask = 0
-    for v in verts:
-        comp_mask |= 1 << v
-    mut = {v: rows[v] & cols[v] & comp_mask for v in verts}
     clique: list[int] = []
-    cand = comp_mask
+    cand = sum(1 << v for v in mut)
     while cand:
         v = -1
         best = -1
@@ -72,15 +74,46 @@ def _greedy_mutual_clique(rows, cols, verts) -> list[int]:
     return clique
 
 
+def _has_odd_mutual_cycle(mut: dict[int, int]) -> bool:
+    """True when the mutual edges hold an odd cycle, so 2 classes fail.
+
+    The two ends of a 2-cycle need different acyclic classes, so two
+    classes would 2-colour the mutual-edge graph. Breadth-first layers
+    from the least unseen vertex: the graph is bipartite iff no mutual
+    edge joins two vertices of one layer.
+    """
+    left = sum(1 << v for v in mut)
+    while left:
+        layer = left & -left
+        left ^= layer
+        while layer:
+            nxt = 0
+            for v in bits_of(layer):
+                if mut[v] & layer:
+                    return True
+                nxt |= mut[v]
+            layer = nxt & left
+            left ^= layer
+    return False
+
+
 def _cover_scc(
     rows, cols, verts: tuple[int, ...], budget: int, counter: list[int]
 ) -> tuple[int, list[list[int]]]:
-    """Exact minimum acyclic vertex cover of one strong component."""
+    """Exact minimum acyclic vertex cover of one strong component.
+
+    Tries k upward from a lower bound: the greedy mutual clique, at least
+    2 (a strong component with two vertices holds a cycle), and 3 when
+    the mutual edges hold an odd cycle.
+    """
     order = sorted(
         verts, key=lambda v: (-(rows[v].bit_count() + cols[v].bit_count()), v)
     )
     m = len(order)
-    lower = max(2, len(_greedy_mutual_clique(rows, cols, verts)))
+    mut = _mutual_rows(rows, cols, verts)
+    lower = max(2, len(_greedy_mutual_clique(mut)))
+    if lower == 2 and _has_odd_mutual_cycle(mut):
+        lower = 3
     for k in range(lower, m + 1):
         assign = _assign_classes(rows, cols, order, k, budget, counter)
         if assign is not None:
@@ -226,7 +259,8 @@ def _color_component(
     order = sorted(verts, key=lambda v: (-g.rows[v].bit_count(), v))
     m = len(order)
     # g is symmetric, so its rows are also its columns
-    lower = max(1, len(_greedy_mutual_clique(g.rows, g.rows, verts)))
+    mut = _mutual_rows(g.rows, g.rows, verts)
+    lower = max(1, len(_greedy_mutual_clique(mut)))
     for k in range(lower, m + 1):
         assign = _assign_colors(g, order, k, budget, counter)
         if assign is not None:
@@ -280,10 +314,10 @@ def order_dimension(
     answers 1 with its own linear extension.
     """
     _check_budget(budget)
-    if quotient(q).size <= 1:
-        return DimResult(0, ExtensionFamily(q, ()))
     cp, pairs = critical_pair_digraph(q)
     if cp.n == 0:
+        if quotient(q).size <= 1:
+            return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
     res = dichromatic_number(cp, budget)
     exts = tuple(

@@ -240,6 +240,17 @@ def loop_linear_extension(q: QuasiOrder) -> QuasiOrder:
     return QuasiOrder(q.n, tuple(rows))
 
 
+def loop_undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
+    """The pair-by-pair scan the bitmask undecided_pair replaced."""
+    for x in range(base.n):
+        for y in range(base.n):
+            if base.leq(x, y):
+                continue
+            if not any(e.leq(y, x) for e in exts):
+                return (x, y)
+    return None
+
+
 def relation_is_reflexive(rows: tuple[int, ...]) -> bool:
     return all(rows[i] >> i & 1 for i in range(len(rows)))
 

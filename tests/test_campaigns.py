@@ -7,14 +7,14 @@ import json
 
 import pytest
 
-from orderdim import OrderdimError
+from orderdim import OrderdimError, antichain_order
 from orderdim.campaigns import (
     CAMPAIGNS,
     CHECKERS,
     recheck_certificate,
     run_campaign,
 )
-from orderdim.serialize import dumps
+from orderdim.serialize import dumps, order_payload
 
 SMALL = {
     "odim-eq-dicr": {"n": 3},
@@ -118,6 +118,31 @@ def test_checker_rejects_dropped_cover_class():
     broken = copy.deepcopy(payload)
     broken["witness"]["cover"]["classes"] = classes[:-1]
     assert recheck_certificate(broken) is False
+
+
+def test_checker_recomputes_the_stated_dimension():
+    # antichain_order(3) has dimension 2. Claim 3 with every stored value
+    # agreeing: pad the family with a repeated extension and split a
+    # cover class, which keeps it acyclic. Only recomputing the optimum
+    # can tell.
+    order = order_payload(antichain_order(3))
+    cert = next(
+        c
+        for c in run_campaign("odim-eq-dicr", n=3)
+        if c.instance["order"] == order
+    )
+    payload = json.loads(dumps(cert.to_payload()))
+    assert payload["witness"]["d_via_dicr"] == 2
+    forged = copy.deepcopy(payload)
+    witness = forged["witness"]
+    for key in ("d_via_dicr", "d_realizer", "k_pair_digraph"):
+        witness[key] = 3
+    exts = witness["family"]["extensions"]
+    exts.append(exts[0])
+    first, second = witness["cover"]["classes"]
+    witness["cover"]["classes"] = [first[:1], first[1:], second]
+    assert recheck_certificate(payload) is True
+    assert recheck_certificate(forged) is False
 
 
 def test_cyclefree_prefiltered_instances_never_report_cycles():

@@ -36,6 +36,7 @@ from orderdim import (
     quasi_order,
     random_digraph,
     random_order,
+    order_dimension,
     random_quasi,
     two_level_order,
     undecided_pair,
@@ -43,7 +44,7 @@ from orderdim import (
 from orderdim.relations import StrictOrder
 from orderdim.rng import SplitMix64
 
-from .oracles import critical_pairs
+from .oracles import critical_pairs, loop_undecided_pair
 
 
 def test_pair_digraph_of_three_chain():
@@ -293,3 +294,31 @@ def test_family_from_separators_reports_missing_pairs():
     result = family_from_separators(base, ((0, 1),))
     assert isinstance(result, Incomplete)
     assert result.pair is not None
+
+
+@given(
+    st.integers(0, 8),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_bitmask_undecided_pair_matches_loop_version(n, p, seed):
+    base = random_quasi(n, p, seed)
+    realizer = order_dimension(base).witness.exts
+    _, pvm = pair_digraph(base, incomparable_only=True)
+    singles = [extend_by_pairs(base, [pair]) for pair in pvm.pairs]
+    for fam in (
+        realizer,
+        realizer[1:],
+        realizer[:-1],
+        singles,
+        singles[::2],
+        singles[1::3],
+        (),
+    ):
+        assert undecided_pair(base, fam) == loop_undecided_pair(base, fam)
+    # complete families: a realizer, and one extension per incomparable
+    # pair (every strict base pair is settled by any single extension)
+    assert undecided_pair(base, realizer) is None
+    if singles:
+        assert undecided_pair(base, singles) is None

@@ -48,22 +48,22 @@ PINNED = [
     (
         "random_order(14, 0.2, 0)",
         lambda: random_order(14, 0.2, 0),
-        540,
-        173,
+        213,
+        38,
         "749f887a3f435d2b354609b034d78631a97afe1076797c6a0a7ea21692f54a6c",
     ),
     (
         "random_order(16, 0.3, 2)",
         lambda: random_order(16, 0.3, 2),
-        17_595,
-        115,
+        17_370,
+        42,
         "70546ed4c06aaf62b5fbd3386d5853d46b5d8db92eb9c35c111c264b1fbfedd5",
     ),
     (
         "random_order(20, 0.45, 2)",
         lambda: random_order(20, 0.45, 2),
-        13_884,
-        48,
+        277,
+        29,
         "61ad1cf2eb6837cf702bbdb2b6c3ad0aa2a38f864e4464f70db0d08618686e7c",
     ),
 ]

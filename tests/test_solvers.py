@@ -16,6 +16,7 @@ from orderdim import (
     chain_order,
     check_cover,
     chromatic_number,
+    critical_pair_digraph,
     crown_order,
     dichromatic_number,
     digraph,
@@ -28,6 +29,8 @@ from orderdim import (
     random_symmetric,
     realizer_oracle,
 )
+from orderdim.relations import transpose_rows
+from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
 
 from .oracles import (
     brute_chrom,
@@ -93,6 +96,54 @@ def test_dicr_backtracks_and_replaces_on_chained_cycles():
     assert dichromatic_number(d, budget=24) == res
     with pytest.raises(LimitExceeded):
         dichromatic_number(d, budget=23)
+
+
+def odd_mutual_cycle(d: Digraph) -> bool:
+    return _has_odd_mutual_cycle(
+        _mutual_rows(d.rows, transpose_rows(d.rows, d.n), range(d.n))
+    )
+
+
+@given(digraphs(max_n=7))
+@settings(max_examples=150, deadline=None)
+def test_odd_mutual_cycle_is_exact_and_rules_out_two_classes(d):
+    mutual = Digraph(
+        d.n,
+        tuple(
+            sum(1 << j for j in range(d.n) if d.adj(i, j) and d.adj(j, i))
+            for i in range(d.n)
+        ),
+    )
+    odd = odd_mutual_cycle(d)
+    assert odd == (brute_chrom(mutual) >= 3)
+    if odd:
+        assert brute_dicr(d) >= 3
+
+
+def test_odd_mutual_cycle_skips_the_two_class_search():
+    def bidirected_cycle(n):
+        edges = {(i, (i + 1) % n) for i in range(n)}
+        return digraph(n, edges | {(j, i) for i, j in edges})
+
+    # the bidirected 5-cycle has no mutual triangle, so the clique bound
+    # is 2; the odd cycle starts the search at k = 3, which takes 9 nodes
+    # (refuting k = 2 first took 9 more)
+    c5 = bidirected_cycle(5)
+    assert odd_mutual_cycle(c5)
+    assert dichromatic_number(c5, budget=9).k == 3 == brute_dicr(c5)
+    with pytest.raises(LimitExceeded):
+        dichromatic_number(c5, budget=8)
+    c4 = bidirected_cycle(4)
+    assert not odd_mutual_cycle(c4)
+    assert dichromatic_number(c4).k == 2 == brute_dicr(c4)
+
+
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_odd_alternating_two_cycle_iff_dimension_at_least_three(n, seed):
+    base = random_quasi(n, 0.3, seed)
+    cp, _ = critical_pair_digraph(base)
+    assert odd_mutual_cycle(cp) == (brute_dimension(base) >= 3)
 
 
 def test_dicr_budget_raises():
