@@ -405,7 +405,11 @@ def check_hom_transfer(instance: dict, witness: dict) -> bool:
                 return False
         gcover = cover_from_payload(witness["g_cover"])
         check_cover(g, gcover)
-        return witness["k_g"] <= witness["k_h"]
+        return (
+            len(gcover.classes) == witness["k_g"]
+            and len(hcover.classes) == witness["k_h"]
+            and witness["k_g"] <= witness["k_h"]
+        )
     except (OrderdimError, KeyError, TypeError):
         return False
 

@@ -49,6 +49,7 @@ from .selectors import (
     selector_digraph,
 )
 from .serialize import (
+    MAX_INPUT_N,
     FormatError,
     cover_from_payload,
     cover_payload,
@@ -322,6 +323,8 @@ def _cmd_gen(args, out) -> int:
     n, p, seed = args.n, args.p, args.seed
     if n is None:
         n = 4
+    if n > MAX_INPUT_N:
+        raise UsageError(f"--n is {n}, above the input limit of {MAX_INPUT_N}")
     if args.kind == "poset":
         payload = order_payload(random_order(n, p, seed))
     elif args.kind == "quasi":

@@ -20,6 +20,13 @@ from .reduction import AcyclicCover, ExtensionFamily
 from .relations import QuasiOrder, quasi_order
 
 
+# Largest element or vertex count an instance may declare. It admits
+# every payload the package writes (g0 digraphs reach 4,096 vertices and
+# `reduce pg` doubles a digraph) and is checked before anything is sized
+# by n.
+MAX_INPUT_N = 1 << 14
+
+
 class FormatError(OrderdimError):
     """Instance text does not parse or misses required fields."""
 
@@ -83,12 +90,21 @@ def _int_pairs(raw, what: str) -> list[tuple[int, int]]:
     return out
 
 
-def order_from_payload(doc: Any) -> QuasiOrder:
-    if not isinstance(doc, dict) or doc.get("kind") != "quasi":
-        raise FormatError('expected an object with "kind": "quasi"')
+def _declared_n(doc: dict) -> int:
     n = doc.get("n")
     if not isinstance(n, int) or n < 0:
         raise FormatError('"n" must be a non-negative int')
+    if n > MAX_INPUT_N:
+        raise FormatError(
+            f'"n" is {n}, above the input limit of {MAX_INPUT_N}'
+        )
+    return n
+
+
+def order_from_payload(doc: Any) -> QuasiOrder:
+    if not isinstance(doc, dict) or doc.get("kind") != "quasi":
+        raise FormatError('expected an object with "kind": "quasi"')
+    n = _declared_n(doc)
     pairs = _int_pairs(doc.get("pairs", []), "pairs")
     closure = doc.get("closure", False)
     if not isinstance(closure, bool):
@@ -99,9 +115,7 @@ def order_from_payload(doc: Any) -> QuasiOrder:
 def digraph_from_payload(doc: Any) -> Digraph:
     if not isinstance(doc, dict) or doc.get("kind") != "digraph":
         raise FormatError('expected an object with "kind": "digraph"')
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise FormatError('"n" must be a non-negative int')
+    n = _declared_n(doc)
     edges = _int_pairs(doc.get("edges", []), "edges")
     for i, j in edges:
         if i == j:

@@ -1,7 +1,10 @@
 """Exact solvers: dichromatic number, chromatic number, order dimension.
 
-All searches are deterministic and return recheckable witnesses. Budgets
-bound search nodes; hitting one raises LimitExceeded rather than guessing.
+One deterministic search finds least acyclic covers. The chromatic number
+is read off the acyclic cover of the symmetric digraph (every edge is a
+2-cycle, so an acyclic class is an independent set) and the dimension off
+that of the critical-pair digraph. Budgets bound search nodes; hitting
+one raises LimitExceeded rather than guessing.
 """
 
 from __future__ import annotations
@@ -236,70 +239,19 @@ def dichromatic_number(
 def chromatic_number(
     g: Digraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact proper coloring of a symmetric digraph: (count, colors)."""
+    """Exact proper coloring of a symmetric digraph: (count, colors).
+
+    Each vertex takes the index of its class in the least acyclic cover.
+    """
     _check_budget(budget)
     if not g.is_symmetric():
         raise NotAGraph("chromatic number needs a symmetric edge relation")
-    if g.n == 0:
-        return 0, ()
-    counter = [0]
+    res = dichromatic_number(g, budget)
     colors = [0] * g.n
-    k_total = 1
-    for comp in scc_decompose(g):
-        k_c, comp_colors = _color_component(g, comp, budget, counter)
-        k_total = max(k_total, k_c)
-        for v, c in comp_colors.items():
+    for c, cls in enumerate(res.witness.classes):
+        for v in cls:
             colors[v] = c
-    return k_total, tuple(colors)
-
-
-def _color_component(
-    g: Digraph, verts: tuple[int, ...], budget: int, counter: list[int]
-) -> tuple[int, dict[int, int]]:
-    order = sorted(verts, key=lambda v: (-g.rows[v].bit_count(), v))
-    m = len(order)
-    # g is symmetric, so its rows are also its columns
-    mut = _mutual_rows(g.rows, g.rows, verts)
-    lower = max(1, len(_greedy_mutual_clique(mut)))
-    for k in range(lower, m + 1):
-        assign = _assign_colors(g, order, k, budget, counter)
-        if assign is not None:
-            return k, {v: assign[i] for i, v in enumerate(order)}
-    raise AssertionError("distinct colors are always feasible")
-
-
-def _assign_colors(
-    g: Digraph, order: list[int], k: int, budget: int, counter: list[int]
-) -> list[int] | None:
-    m = len(order)
-    class_mask = [0] * k
-    assign = [-1] * m
-    used = [0] * (m + 1)
-    trial = [0] * m
-    depth = 0
-    while True:
-        c = trial[depth]
-        if c > min(used[depth], k - 1):
-            depth -= 1
-            if depth < 0:
-                return None
-            class_mask[assign[depth]] &= ~(1 << order[depth])
-            trial[depth] += 1
-            continue
-        counter[0] += 1
-        if counter[0] > budget:
-            raise LimitExceeded(budget, "coloring search")
-        v = order[depth]
-        if g.rows[v] & class_mask[c] == 0:
-            assign[depth] = c
-            class_mask[c] |= 1 << v
-            if depth == m - 1:
-                return assign
-            used[depth + 1] = max(used[depth], c + 1)
-            depth += 1
-            trial[depth] = 0
-        else:
-            trial[depth] += 1
+    return res.k, tuple(colors)
 
 
 def order_dimension(

@@ -145,6 +145,16 @@ def test_checker_recomputes_the_stated_dimension():
     assert recheck_certificate(forged) is False
 
 
+def test_checker_ties_hom_transfer_counts_to_the_covers():
+    # k_g = 0 <= k_h = 99 holds whatever the digraphs are; only the
+    # covers' sizes can show that neither number is what they witness
+    cert = first_cert("hom-transfer", n=4, seed=3)
+    payload = json.loads(dumps(cert.to_payload()))
+    forged = corrupt(corrupt(payload, ["k_g"], 0), ["k_h"], 99)
+    assert recheck_certificate(payload) is True
+    assert recheck_certificate(forged) is False
+
+
 def test_cyclefree_prefiltered_instances_never_report_cycles():
     for cert in run_campaign("cyclefree-extends", n=5, seed=3):
         if cert.instance["prefiltered"]:

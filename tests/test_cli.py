@@ -199,6 +199,31 @@ def test_negative_budget_env_is_usage_error(capsys, c3, monkeypatch):
     assert code == 2 and out == "" and "DICHRO_BUDGET" in err
 
 
+def test_chrom_budget_exits_three(capsys, tmp_path):
+    k3 = write(
+        tmp_path, "k3.json",
+        {"kind": "digraph", "n": 3,
+         "edges": [[i, j] for i in range(3) for j in range(3) if i != j]},
+    )
+    code, out, err = invoke(capsys, "chrom", k3, "--budget", "1")
+    assert code == 3 and out == "" and "acyclic cover search" in err
+    code, out, _ = invoke(capsys, "chrom", k3)
+    assert code == 0 and json.loads(out) == {"k": 3, "coloring": [0, 1, 2]}
+
+
+def test_declared_size_above_the_limit_is_usage_error(capsys, tmp_path):
+    # both inputs are refused without allocating even when the guard is
+    # missing (boolean orders above 6 atoms exit 3, null edges are
+    # malformed), so a missing guard shows as the wrong code or message
+    code, out, err = invoke(capsys, "gen", "boolean", "--n", str(10**12))
+    assert code == 2 and out == "" and "input limit" in err
+    huge = write(
+        tmp_path, "huge.json", {"kind": "digraph", "n": 10**12, "edges": None}
+    )
+    code, out, err = invoke(capsys, "dicr", huge)
+    assert code == 2 and out == "" and "input limit" in err
+
+
 def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     c6 = write(
         tmp_path,

@@ -3,10 +3,11 @@
 Pins, on fixed instances, the exact number of search nodes
 `dichromatic_number` visits on the full pair digraph and on its
 critical-pair subdigraph (the one `order_dimension` searches), and the
-sha256 of the canonical `order_dimension` output. A change to the solver that keeps the
-search keeps both; one that changes the visit order, the node count or
-the chosen cover fails here and has to say why. The canonical lines of
-every certificate campaign are pinned the same way.
+sha256 of the canonical `order_dimension` output. A change to the
+solver that keeps the search keeps both; one that changes the visit
+order, the node count or the chosen cover fails here and has to say why.
+The canonical lines of every certificate campaign and the canonical
+`chromatic_number` output over a sweep of graphs are pinned the same way.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import pytest
 from orderdim import (
     LimitExceeded,
     boolean_order,
+    chromatic_number,
     critical_pair_digraph,
     crown_order,
     dichromatic_number,
     order_dimension,
     pair_digraph,
     random_order,
+    random_symmetric,
 )
 from orderdim.campaigns import CAMPAIGNS, run_campaign
 from orderdim.serialize import dumps, family_payload
@@ -120,3 +123,22 @@ def test_campaign_output_bytes_are_pinned(name):
     for cert in run_campaign(name, seed=0):
         h.update(dumps(cert.to_payload()).encode())
     assert h.hexdigest() == CAMPAIGN_DIGESTS[name]
+
+
+# sha256 of the canonical `orderdim chrom` output over a sweep of graphs
+# up to 25 vertices, well past graph-collapse's 8
+CHROM_SWEEP = [
+    (n, p, seed)
+    for n in range(26)
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+    for seed in range(4)
+]
+CHROM_DIGEST = "4dacfb0c808992b1260a5ed8780ddb8512171b8ff54e95cef554f6e43a12709e"
+
+
+def test_chromatic_output_bytes_are_pinned():
+    h = hashlib.sha256()
+    for n, p, seed in CHROM_SWEEP:
+        k, colors = chromatic_number(random_symmetric(n, p, seed))
+        h.update(dumps({"k": k, "coloring": list(colors)}).encode())
+    assert h.hexdigest() == CHROM_DIGEST

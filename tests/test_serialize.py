@@ -8,7 +8,9 @@ import pytest
 
 from orderdim import AcyclicCover, HomWitness, crown_order, directed_cycle
 from orderdim.reduction import ExtensionFamily, pair_digraph
+from orderdim.selectors import MAX_LEVEL_VERTICES
 from orderdim.serialize import (
+    MAX_INPUT_N,
     FormatError,
     cover_from_payload,
     cover_payload,
@@ -81,3 +83,26 @@ def test_dumps_is_canonical():
     assert a == b
     assert a.endswith("\n")
     assert " " not in a.strip()
+
+
+def test_declared_size_is_refused_before_allocation():
+    huge = 10**12
+    for kind, key, read in (
+        ("quasi", "pairs", order_from_payload),
+        ("digraph", "edges", digraph_from_payload),
+    ):
+        # a malformed list is refused too, so a guard that fired late
+        # would fail here on the message without sizing anything by n
+        with pytest.raises(FormatError, match="input limit"):
+            read({"kind": kind, "n": huge, key: None})
+        with pytest.raises(FormatError, match="input limit"):
+            read({"kind": kind, "n": huge, key: []})
+
+
+def test_size_limit_admits_every_written_payload():
+    # g0 digraphs reach MAX_LEVEL_VERTICES and `reduce pg` doubles them
+    assert MAX_INPUT_N >= 2 * MAX_LEVEL_VERTICES
+    doc = {"kind": "digraph", "n": MAX_INPUT_N, "edges": [[0, 1]]}
+    assert digraph_from_payload(doc).n == MAX_INPUT_N
+    with pytest.raises(FormatError, match="input limit"):
+        digraph_from_payload({**doc, "n": MAX_INPUT_N + 1})

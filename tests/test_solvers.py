@@ -133,6 +133,10 @@ def test_odd_mutual_cycle_skips_the_two_class_search():
     assert dichromatic_number(c5, budget=9).k == 3 == brute_dicr(c5)
     with pytest.raises(LimitExceeded):
         dichromatic_number(c5, budget=8)
+    # the chromatic number is read off the same search
+    assert chromatic_number(c5, budget=9)[0] == 3
+    with pytest.raises(LimitExceeded):
+        chromatic_number(c5, budget=8)
     c4 = bidirected_cycle(4)
     assert not odd_mutual_cycle(c4)
     assert dichromatic_number(c4).k == 2 == brute_dicr(c4)
