@@ -418,7 +418,11 @@ def check_separators(instance: dict, witness: dict) -> bool:
     try:
         base = order_from_payload(instance["order"])
         fam = family_from_payload(witness["family"], base)
-        return fam.size == witness["bound"] and witness["bound"] >= witness["d"]
+        return (
+            fam.size == witness["bound"]
+            and witness["bound"] >= witness["d"]
+            and realizer_oracle(base, max(witness["bound"], 1)) == witness["d"]
+        )
     except (OrderdimError, KeyError, TypeError):
         return False
 

@@ -323,6 +323,8 @@ def _cmd_gen(args, out) -> int:
     n, p, seed = args.n, args.p, args.seed
     if n is None:
         n = 4
+    if n < 0:
+        raise UsageError(f"--n must be at least 0, got {n}")
     if n > MAX_INPUT_N:
         raise UsageError(f"--n is {n}, above the input limit of {MAX_INPUT_N}")
     if args.kind == "poset":

@@ -30,6 +30,7 @@ from .relations import (
     bits_of,
     close_rows,
     extends,
+    peel_extension,
     quotient,
     transpose_rows,
 )
@@ -217,6 +218,20 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     raise CycleInX(cycle)
 
 
+def lift_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
+    """linear_extension(extend_by_pairs(base, pairs)) in one peel.
+
+    The peel reads the pairs directly, so no closure and no intermediate
+    order is built. BadPair as in extend_by_pairs; a stalled peel means
+    the closure merges classes, and extend_by_pairs raises its CycleInX.
+    """
+    ext = peel_extension(base, _pair_rows(base, pairs))
+    if ext is None:
+        extend_by_pairs(base, pairs)
+        raise AssertionError("a stalled peel leaves a cycle of classes")
+    return ext
+
+
 @dataclass(frozen=True, slots=True)
 class AcyclicCover:
     """Vertex classes meant to cover a digraph, each without a cycle."""
@@ -249,14 +264,18 @@ def check_cover(d: Digraph, cover: AcyclicCover) -> None:
 
 def undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
     """First ordered pair no extension settles: neither base(x,y) nor any
-    ext placing y below x. None when the family decides everything."""
-    settled = list(base.rows)
+    ext placing y below x. None when the family decides everything.
+
+    Transposing distributes over OR, so the members' rows are OR-ed first
+    and transposed once."""
+    union = [0] * base.n
     for e in exts:
-        for x, col in enumerate(transpose_rows(e.rows, e.n)):
-            settled[x] |= col
+        for x, row in enumerate(e.rows):
+            union[x] |= row
+    cols = transpose_rows(union, base.n)
     full = (1 << base.n) - 1
-    for x, row in enumerate(settled):
-        open_bits = full & ~row
+    for x, (row, col) in enumerate(zip(base.rows, cols)):
+        open_bits = full & ~(row | col)
         if open_bits:
             return (x, (open_bits & -open_bits).bit_length() - 1)
     return None

@@ -205,37 +205,46 @@ def quotient(q: QuasiOrder) -> QuotientPoset:
 
 
 def extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
-    """True iff ext contains base and relates exactly the same mutual pairs."""
+    """True iff ext contains base and relates exactly the same mutual pairs.
+
+    In a quasi order i and j are mutual iff rows[i] == rows[j], so the
+    distinct rows count the classes. Once ext contains base its classes
+    are unions of base classes, equal to them iff the counts agree.
+    """
     if base.n != ext.n:
         raise SizeMismatch(f"ground sets differ: {base.n} vs {ext.n}")
     for rb, re in zip(base.rows, ext.rows):
         if rb & ~re:
             return False
-    bcols = transpose_rows(base.rows, base.n)
-    ecols = transpose_rows(ext.rows, ext.n)
-    for i in range(base.n):
-        if (base.rows[i] & bcols[i]) != (ext.rows[i] & ecols[i]):
-            return False
-    return True
+    return len(set(base.rows)) == len(set(ext.rows))
 
 
-def linear_extension(q: QuasiOrder) -> QuasiOrder:
-    """One deterministic total extension of q.
+def peel_extension(q: QuasiOrder, pair_rows=None) -> QuasiOrder | None:
+    """The deterministic linear extension of q closed over extra pairs.
 
-    Topological order of the mutual-relation classes, ties broken by
-    least member id, lifted back to the ground set.
+    Bit b of pair_rows[a] asks for a below b. Kahn peel on elements: an
+    element is ready once nothing below it is left, where below means
+    strictly below in q or the source of a pair into its q-class; the
+    closure is never built. A class is ready with all of its members, so
+    the lowest ready element is the least member of the class with the
+    least such member, the tie-break. None when the peel stalls, which
+    happens exactly when the pairs close a cycle of q-classes.
     """
     cols = transpose_rows(q.rows, q.n)
     below = [c & ~r for r, c in zip(q.rows, cols)]
-    # Kahn peel on elements: a class is ready with all of its members, so
-    # the lowest ready element is the least member of the class with the
-    # least such member, the tie-break
+    if pair_rows:
+        for a, row in enumerate(pair_rows):
+            for b in bits_of(row):
+                for x in bits_of(q.rows[b] & cols[b]):
+                    below[x] |= 1 << a
     order = []
     remaining = (1 << q.n) - 1
     while remaining:
         ready = remaining
-        while below[(ready & -ready).bit_length() - 1] & remaining:
+        while ready and below[(ready & -ready).bit_length() - 1] & remaining:
             ready &= ready - 1
+        if not ready:
+            return None
         x = (ready & -ready).bit_length() - 1
         members = q.rows[x] & cols[x]
         order.append(members)
@@ -248,6 +257,15 @@ def linear_extension(q: QuasiOrder) -> QuasiOrder:
         for x in bits_of(members):
             rows[x] = suffix
     return QuasiOrder(q.n, tuple(rows))
+
+
+def linear_extension(q: QuasiOrder) -> QuasiOrder:
+    """One deterministic total extension of q.
+
+    Topological order of the mutual-relation classes, ties broken by
+    least member id, lifted back to the ground set.
+    """
+    return peel_extension(q)
 
 
 def down_set_sizes(q: QuasiOrder) -> tuple[int, ...]:

@@ -92,7 +92,7 @@ def _int_pairs(raw, what: str) -> list[tuple[int, int]]:
 
 def _declared_n(doc: dict) -> int:
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise FormatError('"n" must be a non-negative int')
     if n > MAX_INPUT_N:
         raise FormatError(

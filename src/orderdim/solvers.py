@@ -19,7 +19,7 @@ from .reduction import (
     ExtensionFamily,
     check_cover,
     critical_pair_digraph,
-    extend_by_pairs,
+    lift_pairs,
 )
 from .relations import (
     QuasiOrder,
@@ -273,7 +273,7 @@ def order_dimension(
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
     res = dichromatic_number(cp, budget)
     exts = tuple(
-        linear_extension(extend_by_pairs(q, [pairs[v] for v in cls]))
+        lift_pairs(q, [pairs[v] for v in cls])
         for cls in res.witness.classes
     )
     return DimResult(res.k, ExtensionFamily(q, exts))

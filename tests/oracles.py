@@ -16,8 +16,12 @@ from orderdim import (
     IndexOutOfRange,
     QuasiOrder,
     QuotientPoset,
+    SizeMismatch,
     TooLarge,
+    extend_by_pairs,
+    linear_extension,
 )
+from orderdim.relations import transpose_rows
 
 
 def subset_is_acyclic(d: Digraph, members: tuple[int, ...]) -> bool:
@@ -249,6 +253,26 @@ def loop_undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
             if not any(e.leq(y, x) for e in exts):
                 return (x, y)
     return None
+
+
+def loop_lift(base: QuasiOrder, pairs) -> QuasiOrder:
+    """The closure-then-peel lift that lift_pairs replaced."""
+    return linear_extension(extend_by_pairs(base, pairs))
+
+
+def loop_extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
+    """The two-transpose extends that the class count replaced."""
+    if base.n != ext.n:
+        raise SizeMismatch(f"ground sets differ: {base.n} vs {ext.n}")
+    for rb, re in zip(base.rows, ext.rows):
+        if rb & ~re:
+            return False
+    bcols = transpose_rows(base.rows, base.n)
+    ecols = transpose_rows(ext.rows, ext.n)
+    for i in range(base.n):
+        if (base.rows[i] & bcols[i]) != (ext.rows[i] & ecols[i]):
+            return False
+    return True
 
 
 def relation_is_reflexive(rows: tuple[int, ...]) -> bool:

@@ -155,6 +155,17 @@ def test_checker_ties_hom_transfer_counts_to_the_covers():
     assert recheck_certificate(forged) is False
 
 
+def test_checker_recomputes_the_separator_dimension():
+    # d = 0 lies below every bound, so only a recomputed dimension
+    # shows that the two-element antichain has dimension 2, not 0
+    cert = next(
+        c for c in run_campaign("separators", n=2) if c.witness.get("d") == 2
+    )
+    payload = json.loads(dumps(cert.to_payload()))
+    assert recheck_certificate(payload) is True
+    assert recheck_certificate(corrupt(payload, ["d"], 0)) is False
+
+
 def test_cyclefree_prefiltered_instances_never_report_cycles():
     for cert in run_campaign("cyclefree-extends", n=5, seed=3):
         if cert.instance["prefiltered"]:

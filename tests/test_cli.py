@@ -224,6 +224,18 @@ def test_declared_size_above_the_limit_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == "" and "input limit" in err
 
 
+def test_negative_gen_size_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "gen", "chain", "--n", "-3")
+    assert code == 2 and out == "" and "at least 0" in err
+
+
+def test_bool_declared_size_is_usage_error(capsys, tmp_path):
+    # bool is an int in Python, so true would otherwise read as n = 1
+    flag = write(tmp_path, "flag.json", {"kind": "digraph", "n": True, "edges": []})
+    code, out, err = invoke(capsys, "dicr", flag)
+    assert code == 2 and out == "" and '"n" must be a non-negative int' in err
+
+
 def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     c6 = write(
         tmp_path,

@@ -1,0 +1,141 @@
+"""The one-peel lift and the transpose-free family checks against the
+closure-and-transpose versions they replaced."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from orderdim import (
+    BadPair,
+    CycleInX,
+    SizeMismatch,
+    chain_order,
+    critical_pair_digraph,
+    dichromatic_number,
+    extend_by_pairs,
+    extends,
+    lift_pairs,
+    order_dimension,
+    pair_digraph,
+    quasi_order,
+    quotient,
+    random_quasi,
+    undecided_pair,
+)
+from orderdim.rng import SplitMix64
+
+from .oracles import loop_extends, loop_lift, loop_undecided_pair
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def classed_quasi(n, p, seed):
+    """random_quasi with at least one class of two or more elements that
+    is not the whole ground set, so the per-class steps are exercised."""
+    q = random_quasi(n, p, seed)
+    assume(1 < quotient(q).size < n)
+    return q
+
+
+def lift_or_cycle(lift, base, pairs):
+    try:
+        return lift(base, pairs)
+    except CycleInX as err:
+        return ("cycle", err.pairs)
+
+
+@given(st.integers(3, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_witness_members_match_closure_then_peel(n, p, seed):
+    q = classed_quasi(n, p, seed)
+    cp, pairs = critical_pair_digraph(q)
+    exts = order_dimension(q).witness.exts
+    if cp.n == 0:
+        assert len(exts) <= 1
+        return
+    classes = dichromatic_number(cp).witness.classes
+    assert exts == tuple(
+        loop_lift(q, [pairs[v] for v in cls]) for cls in classes
+    )
+
+
+@given(st.integers(3, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_lift_of_any_pair_set_matches_closure_then_peel(n, p, seed):
+    # random pair-digraph classes, cyclic ones included: the same
+    # extension, or the same CycleInX witness
+    q = classed_quasi(n, p, seed)
+    _, pvm = pair_digraph(q)
+    rng = SplitMix64(seed)
+    for density in (0.1, 0.3, 0.6):
+        offered = [pair for pair in pvm.pairs if rng.chance(density)]
+        assert lift_or_cycle(lift_pairs, q, offered) == lift_or_cycle(
+            loop_lift, q, offered
+        )
+
+
+def test_cyclic_pair_set_through_a_class_raises_cycle():
+    # {1, 2} is one class; 0 below 1 and 2 below 0 close a cycle that
+    # enters the class at 1 and leaves it at 2
+    base = quasi_order(3, [(1, 2), (2, 1)], close=True)
+    offered = [(0, 1), (2, 0)]
+    with pytest.raises(CycleInX) as err:
+        lift_pairs(base, offered)
+    with pytest.raises(CycleInX) as old:
+        extend_by_pairs(base, offered)
+    assert err.value.pairs == old.value.pairs
+    # either pair alone lifts, and lands on the other side of the class
+    assert lift_pairs(base, offered[:1]) == quasi_order(
+        3, [(0, 1), (1, 2), (2, 1)], close=True
+    )
+    assert lift_pairs(base, offered[1:]) == quasi_order(
+        3, [(1, 2), (2, 1), (2, 0)], close=True
+    )
+
+
+def test_lift_rejects_base_comparable_reversals():
+    with pytest.raises(BadPair):
+        lift_pairs(chain_order(2), [(1, 0)])
+
+
+@given(st.integers(2, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_extends_matches_two_transpose_version(n, p, seed):
+    base = classed_quasi(n, p, seed)
+    strict = [
+        (i, j) for i, j in base.related_pairs() if not base.leq(j, i)
+    ]
+    candidates = [base, random_quasi(n, p, seed ^ 1), chain_order(n)]
+    candidates += order_dimension(base).witness.exts
+    # reversing a strict pair merges the classes of its ends
+    for i, j in strict[:3]:
+        candidates.append(
+            quasi_order(n, base.related_pairs() + [(j, i)], close=True)
+        )
+    seen = set()
+    for ext in candidates:
+        got = extends(base, ext)
+        assert got == loop_extends(base, ext)
+        seen.add(got)
+        assert extends(ext, base) == loop_extends(ext, base)
+    assert seen == {True, False}
+    for check in (extends, loop_extends):
+        with pytest.raises(SizeMismatch):
+            check(base, chain_order(n + 1))
+
+
+@given(st.integers(2, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_undecided_pair_matches_loop_version_on_several_members(n, p, seed):
+    base = classed_quasi(n, p, seed)
+    _, pvm = pair_digraph(base, incomparable_only=True)
+    # linear and non-linear members, in families of two to five
+    members = list(order_dimension(base).witness.exts)
+    members += [extend_by_pairs(base, [pair]) for pair in pvm.pairs[:4]]
+    members += [lift_pairs(base, [pair]) for pair in pvm.pairs[-4:]]
+    rng = SplitMix64(seed)
+    for _ in range(6):
+        fam = [members[rng.below(len(members))] for _ in range(2 + rng.below(4))]
+        assert undecided_pair(base, fam) == loop_undecided_pair(base, fam)
