@@ -211,8 +211,13 @@ def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
     finish order and collects each component through cols[u] & left, where
     left holds the vertices not yet in a component.
     """
-    n = d.n
-    rows = d.rows
+    return _strong_components(d.rows, transpose_rows(d.rows, d.n))
+
+
+def _strong_components(rows, cols) -> tuple[tuple[int, ...], ...]:
+    """scc_decompose on rows and their transpose cols, which callers that
+    hold cols already pass in instead of transposing again."""
+    n = len(rows)
     unvisited = (1 << n) - 1
     finish: list[int] = []
     while unvisited:
@@ -227,7 +232,6 @@ def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
                 path.append(low.bit_length() - 1)
             else:
                 finish.append(path.pop())
-    cols = transpose_rows(rows, n)
     left = (1 << n) - 1
     comps: list[tuple[int, ...]] = []
     for v in reversed(finish):

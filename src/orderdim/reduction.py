@@ -27,10 +27,11 @@ from .errors import (
 from .relations import (
     QuasiOrder,
     StrictOrder,
+    _peel,
+    _peel_frame,
     bits_of,
     close_rows,
     extends,
-    peel_extension,
     quotient,
     transpose_rows,
 )
@@ -225,11 +226,21 @@ def lift_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     order is built. BadPair as in extend_by_pairs; a stalled peel means
     the closure merges classes, and extend_by_pairs raises its CycleInX.
     """
-    ext = peel_extension(base, _pair_rows(base, pairs))
-    if ext is None:
-        extend_by_pairs(base, pairs)
-        raise AssertionError("a stalled peel leaves a cycle of classes")
-    return ext
+    return lift_pair_sets(base, [pairs])[0]
+
+
+def lift_pair_sets(base: QuasiOrder, pair_sets) -> tuple[QuasiOrder, ...]:
+    """lift_pairs of each pair set in turn, all peeled off one transpose
+    of the base (its classes and below-sets are read once)."""
+    frame = _peel_frame(base)
+    exts = []
+    for pairs in pair_sets:
+        ext = _peel(base, frame, _pair_rows(base, pairs))
+        if ext is None:
+            extend_by_pairs(base, pairs)
+            raise AssertionError("a stalled peel leaves a cycle of classes")
+        exts.append(ext)
+    return tuple(exts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -219,23 +219,34 @@ def extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     return len(set(base.rows)) == len(set(ext.rows))
 
 
-def peel_extension(q: QuasiOrder, pair_rows=None) -> QuasiOrder | None:
+def _peel_frame(q: QuasiOrder) -> tuple[list[int], list[int]]:
+    """Each element's q-class and the elements strictly below it in q:
+    all that a peel reads of q, so peels over one base can share it."""
+    cols = transpose_rows(q.rows, q.n)
+    return (
+        [r & c for r, c in zip(q.rows, cols)],
+        [c & ~r for r, c in zip(q.rows, cols)],
+    )
+
+
+def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     """The deterministic linear extension of q closed over extra pairs.
 
-    Bit b of pair_rows[a] asks for a below b. Kahn peel on elements: an
-    element is ready once nothing below it is left, where below means
-    strictly below in q or the source of a pair into its q-class; the
-    closure is never built. A class is ready with all of its members, so
-    the lowest ready element is the least member of the class with the
-    least such member, the tie-break. None when the peel stalls, which
-    happens exactly when the pairs close a cycle of q-classes.
+    frame is _peel_frame(q); bit b of pair_rows[a] asks for a below b.
+    Kahn peel on elements: an element is ready once nothing below it is
+    left, where below means strictly below in q or the source of a pair
+    into its q-class; the closure is never built. A class is ready with
+    all of its members, so the lowest ready element is the least member
+    of the class with the least such member, the tie-break. None when the
+    peel stalls, which happens exactly when the pairs close a cycle of
+    q-classes.
     """
-    cols = transpose_rows(q.rows, q.n)
-    below = [c & ~r for r, c in zip(q.rows, cols)]
+    same, below = frame
     if pair_rows:
+        below = list(below)
         for a, row in enumerate(pair_rows):
             for b in bits_of(row):
-                for x in bits_of(q.rows[b] & cols[b]):
+                for x in bits_of(same[b]):
                     below[x] |= 1 << a
     order = []
     remaining = (1 << q.n) - 1
@@ -245,8 +256,7 @@ def peel_extension(q: QuasiOrder, pair_rows=None) -> QuasiOrder | None:
             ready &= ready - 1
         if not ready:
             return None
-        x = (ready & -ready).bit_length() - 1
-        members = q.rows[x] & cols[x]
+        members = same[(ready & -ready).bit_length() - 1]
         order.append(members)
         remaining &= ~members
     # a class lies below itself and every class peeled after it
@@ -265,7 +275,7 @@ def linear_extension(q: QuasiOrder) -> QuasiOrder:
     Topological order of the mutual-relation classes, ties broken by
     least member id, lifted back to the ground set.
     """
-    return peel_extension(q)
+    return _peel(q, _peel_frame(q), None)
 
 
 def down_set_sizes(q: QuasiOrder) -> tuple[int, ...]:

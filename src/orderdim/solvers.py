@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .digraphs import Digraph, scc_decompose
+from .digraphs import Digraph, _strong_components
 from .errors import LimitExceeded, NotAGraph, TooLarge
 from .reduction import (
     AcyclicCover,
     ExtensionFamily,
     check_cover,
     critical_pair_digraph,
-    lift_pairs,
+    lift_pair_sets,
 )
 from .relations import (
     QuasiOrder,
@@ -133,72 +133,65 @@ def _assign_classes(
     """Backtracking k-class assignment keeping every class acyclic.
 
     Classes open in index order (the first vertex placed in a fresh class
-    is the earliest unassigned one), which breaks class symmetry.
+    is the earliest unassigned one), which breaks class symmetry, so depth
+    i may try classes 0..limit[i] with limit[i] = min(classes used, k-1).
 
-    Acyclicity is kept incrementally. Each class c has a member mask, and
-    each placed vertex u has reach[u], the members of its class that u
-    reaches by a path inside the class. Placing v in c closes a cycle iff
-    R = out(v)∩M_c ∪ reach[out(v)∩M_c] meets in(v)∩M_c. On success
-    reach[v] = R, and every member reaching v (an in-neighbour of v, or
-    one whose reach meets in(v)∩M_c) gains R ∪ {v}; the values it had are
-    saved per depth and restored on backtrack. A node costs O(|class|)
-    bitset operations, and the search visits exactly the nodes that a
-    from-scratch cycle test per node would.
+    Each class c keeps only its member mask M_c. Placing v in c closes a
+    cycle iff some member v points to reaches, by a path inside the class,
+    some member pointing to v. A bit-parallel forward search tests that:
+    the front starts at out(v)∩M_c and steps through the members' out-rows
+    to the members not reached yet until it meets in(v)∩M_c or runs dry;
+    with in(v)∩M_c empty there is nothing to test. Backtracking clears
+    v's bit from its class.
     """
     m = len(order)
     if m == 0:
         return []
     assign = [-1] * m
-    used = [0] * (m + 1)
+    limit = [0] * m
     trial = [0] * m
     masks = [0] * k
-    reach = [0] * len(rows)
-    undo: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    nodes = counter[0]
     depth = 0
     while True:
         c = trial[depth]
-        if c > min(used[depth], k - 1):
+        if c > limit[depth]:
             depth -= 1
             if depth < 0:
+                counter[0] = nodes
                 return None
-            for u, old in undo[depth]:
-                reach[u] = old
-            masks[assign[depth]] &= ~(1 << order[depth])
+            masks[assign[depth]] ^= 1 << order[depth]
             trial[depth] += 1
             continue
-        counter[0] += 1
-        if counter[0] > budget:
+        nodes += 1
+        if nodes > budget:
+            counter[0] = nodes
             raise LimitExceeded(budget, "acyclic cover search")
         v = order[depth]
         members = masks[c]
         into = cols[v] & members
-        out = rows[v] & members
-        r = out
-        while out:
-            low = out & -out
-            r |= reach[low.bit_length() - 1]
-            out ^= low
-        if r & into:
-            trial[depth] += 1
-            continue
+        if into:
+            seen = front = rows[v] & members
+            while front and not front & into:
+                step = 0
+                while front:
+                    low = front & -front
+                    step |= rows[low.bit_length() - 1]
+                    front ^= low
+                front = step & members & ~seen
+                seen |= front
+            if front:
+                trial[depth] += 1
+                continue
         assign[depth] = c
-        reach[v] = r
-        gain = r | (1 << v)
-        saved = undo[depth]
-        saved.clear()
-        rest = members
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            if into & low or reach[u] & into:
-                saved.append((u, reach[u]))
-                reach[u] |= gain
         masks[c] = members | (1 << v)
         if depth == m - 1:
+            counter[0] = nodes
             return assign
-        used[depth + 1] = max(used[depth], c + 1)
+        # a fresh class opens at the next depth unless all k are open
+        lim = limit[depth]
         depth += 1
+        limit[depth] = lim + 1 if c == lim < k - 1 else lim
         trial[depth] = 0
 
 
@@ -219,7 +212,7 @@ def dichromatic_number(
     k_total = 1
     solved: list[list[list[int]]] = []
     singles: list[int] = []
-    for comp in scc_decompose(d):
+    for comp in _strong_components(d.rows, cols):
         if len(comp) == 1:
             singles.append(comp[0])
             continue
@@ -272,9 +265,8 @@ def order_dimension(
             return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
     res = dichromatic_number(cp, budget)
-    exts = tuple(
-        lift_pairs(q, [pairs[v] for v in cls])
-        for cls in res.witness.classes
+    exts = lift_pair_sets(
+        q, [[pairs[v] for v in cls] for cls in res.witness.classes]
     )
     return DimResult(res.k, ExtensionFamily(q, exts))
 

@@ -24,6 +24,7 @@ from orderdim import (
     random_quasi,
     undecided_pair,
 )
+from orderdim.reduction import lift_pair_sets
 from orderdim.rng import SplitMix64
 
 from .oracles import loop_extends, loop_lift, loop_undecided_pair
@@ -74,6 +75,28 @@ def test_lift_of_any_pair_set_matches_closure_then_peel(n, p, seed):
         assert lift_or_cycle(lift_pairs, q, offered) == lift_or_cycle(
             loop_lift, q, offered
         )
+
+
+@given(st.integers(3, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_pair_sets_sharing_one_base_lift_like_separate_lifts(n, p, seed):
+    # one peel's pairs must not leak into the next over the same base:
+    # the sets are lifted in turn, and the first again at the end
+    q = classed_quasi(n, p, seed)
+    _, pvm = pair_digraph(q)
+    rng = SplitMix64(seed)
+    sets = [
+        [pair for pair in pvm.pairs if rng.chance(density)]
+        for density in (0.05, 0.2, 0.4)
+    ]
+    sets.append(sets[0])
+    want = [lift_or_cycle(loop_lift, q, pairs) for pairs in sets]
+    ok = 0
+    while ok < len(want) and not isinstance(want[ok], tuple):
+        ok += 1
+    assert lift_pair_sets(q, sets[:ok]) == tuple(want[:ok])
+    if ok < len(want):
+        assert lift_or_cycle(lift_pair_sets, q, sets) == want[ok]
 
 
 def test_cyclic_pair_set_through_a_class_raises_cycle():

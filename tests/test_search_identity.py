@@ -7,7 +7,9 @@ sha256 of the canonical `order_dimension` output. A change to the
 solver that keeps the search keeps both; one that changes the visit
 order, the node count or the chosen cover fails here and has to say why.
 The canonical lines of every certificate campaign and the canonical
-`chromatic_number` output over a sweep of graphs are pinned the same way.
+`chromatic_number` output over a sweep of graphs are pinned the same way,
+and so are the total search nodes and the covers over sweeps of random
+digraphs and critical-pair digraphs under a fixed budget.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ from orderdim import (
     dichromatic_number,
     order_dimension,
     pair_digraph,
+    random_digraph,
     random_order,
     random_symmetric,
+    scc_decompose,
 )
 from orderdim.campaigns import CAMPAIGNS, run_campaign
+from orderdim.relations import transpose_rows
 from orderdim.serialize import dumps, family_payload
+from orderdim.solvers import _cover_scc
 
 # (label, poset, search nodes on the full pair digraph, search nodes on the
 # critical-pair digraph, sha256 of the canonical dimension output)
@@ -142,3 +148,91 @@ def test_chromatic_output_bytes_are_pinned():
         k, colors = chromatic_number(random_symmetric(n, p, seed))
         h.update(dumps({"k": k, "coloring": list(colors)}).encode())
     assert h.hexdigest() == CHROM_DIGEST
+
+
+# Random digraphs up to 30 vertices at four densities and critical-pair
+# digraphs of random orders, each searched under SWEEP_BUDGET. A few of
+# them stop at the budget; they count budget + 1 nodes and hash as
+# "k": null.
+SWEEP_BUDGET = 20_000
+DIGRAPH_SWEEP = [
+    (n, p, seed)
+    for n in range(4, 31, 2)
+    for p in (0.1, 0.2, 0.35, 0.5)
+    for seed in range(3)
+]
+ORDER_SWEEP = [
+    (n, p, seed)
+    for n in (14, 18, 22)
+    for p in (0.2, 0.3, 0.45)
+    for seed in range(3)
+]
+# (total search nodes, budget stops, sha256 of the canonical covers)
+DIGRAPH_SWEEP_PIN = (
+    172_956,
+    3,
+    "ecf819dc07c9873d18ad3f601c38d4d4a09ce94a582d16294b721751d9a767b5",
+)
+ORDER_SWEEP_PIN = (
+    61_765,
+    2,
+    "05b372c133b501f9e49f7e7233ffe59a20d6b14199ce3b5ba3fd1a8d084803e3",
+)
+
+
+def search_nodes(d, budget):
+    """Nodes dichromatic_number(d, budget) visits; budget + 1 if it stops.
+
+    Runs the per-component search the way dichromatic_number does, with
+    one counter shared by every strong component."""
+    cols = transpose_rows(d.rows, d.n)
+    counter = [0]
+    try:
+        for comp in scc_decompose(d):
+            if len(comp) > 1:
+                _cover_scc(d.rows, cols, comp, budget, counter)
+    except LimitExceeded:
+        assert counter[0] == budget + 1
+    return counter[0]
+
+
+def sweep_pin(graphs):
+    h = hashlib.sha256()
+    nodes = stops = 0
+    for d in graphs:
+        nodes += search_nodes(d, SWEEP_BUDGET)
+        try:
+            res = dichromatic_number(d, SWEEP_BUDGET)
+        except LimitExceeded:
+            stops += 1
+            h.update(dumps({"k": None}).encode())
+            continue
+        classes = [list(c) for c in res.witness.classes]
+        h.update(dumps({"k": res.k, "classes": classes}).encode())
+    return nodes, stops, h.hexdigest()
+
+
+def test_random_digraph_sweep_nodes_and_covers_are_pinned():
+    graphs = [random_digraph(*args) for args in DIGRAPH_SWEEP]
+    assert sweep_pin(graphs) == DIGRAPH_SWEEP_PIN
+
+
+def test_critical_pair_sweep_nodes_and_covers_are_pinned():
+    graphs = [critical_pair_digraph(random_order(*a))[0] for a in ORDER_SWEEP]
+    assert sweep_pin(graphs) == ORDER_SWEEP_PIN
+
+
+@pytest.mark.parametrize(
+    "make, nodes",
+    [
+        (lambda: random_digraph(28, 0.5, 1), 19_405),
+        (lambda: critical_pair_digraph(random_order(22, 0.2, 0))[0], 19_941),
+    ],
+    ids=["random_digraph(28, 0.5, 1)", "critical_pair(22, 0.2, 0)"],
+)
+def test_sweep_node_counts_are_budget_boundaries(make, nodes):
+    d = make()
+    assert search_nodes(d, SWEEP_BUDGET) == nodes
+    dichromatic_number(d, budget=nodes)
+    with pytest.raises(LimitExceeded):
+        dichromatic_number(d, budget=nodes - 1)

@@ -91,11 +91,44 @@ def test_dicr_backtracks_and_replaces_on_chained_cycles():
         assert subset_is_acyclic(d, cls)
     # one strong component, searched at k = 2 only: without backtracking
     # at most 7 * 2 = 14 nodes. It takes exactly 24, so placements are
-    # undone and vertices placed again, and a stale within-class
-    # reachability left behind by an undo changes this count.
+    # undone and vertices placed again, and a stale class member left
+    # behind by an undo changes this count.
     assert dichromatic_number(d, budget=24) == res
     with pytest.raises(LimitExceeded):
         dichromatic_number(d, budget=23)
+
+
+def long_cycle_digraphs():
+    """Unions of 2-5 directed cycles of length 4..n on 8-10 vertices.
+
+    Overlapping long cycles make a placement close a cycle only through
+    several hops inside one class, so a forward search that stops early
+    or skips a hop shows up as a wrong k."""
+    return st.integers(8, 10).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.permutations(range(n)), st.integers(4, n)),
+            min_size=2,
+            max_size=5,
+        ).map(
+            lambda cycles: digraph(
+                n,
+                {
+                    (perm[i], perm[(i + 1) % length])
+                    for perm, length in cycles
+                    for i in range(length)
+                },
+            )
+        )
+    )
+
+
+@given(long_cycle_digraphs())
+@settings(max_examples=80, deadline=None)
+def test_dicr_matches_brute_force_on_overlapping_long_cycles(d):
+    res = dichromatic_number(d)
+    assert res.k == brute_dicr(d)
+    for cls in res.witness.classes:
+        assert subset_is_acyclic(d, cls)
 
 
 def odd_mutual_cycle(d: Digraph) -> bool:
