@@ -319,35 +319,29 @@ def _cmd_hom(args, out) -> int:
     return 0 if res.ok else 1
 
 
+# kind -> (generator taking n, p and seed, payload function)
+GENERATORS = {
+    "poset": (random_order, order_payload),
+    "quasi": (random_quasi, order_payload),
+    "digraph": (random_digraph, digraph_payload),
+    "symmetric": (random_symmetric, digraph_payload),
+    "crown": (lambda n, p, seed: crown_order(n), order_payload),
+    "chain": (lambda n, p, seed: chain_order(n), order_payload),
+    "antichain": (lambda n, p, seed: antichain_order(n), order_payload),
+    "boolean": (lambda n, p, seed: boolean_order(n), order_payload),
+    "cycle": (lambda n, p, seed: directed_cycle(n), digraph_payload),
+    "biclique": (lambda n, p, seed: bidirected_clique(n), digraph_payload),
+}
+
+
 def _cmd_gen(args, out) -> int:
-    n, p, seed = args.n, args.p, args.seed
-    if n is None:
-        n = 4
+    n = 4 if args.n is None else args.n
     if n < 0:
         raise UsageError(f"--n must be at least 0, got {n}")
     if n > MAX_INPUT_N:
         raise UsageError(f"--n is {n}, above the input limit of {MAX_INPUT_N}")
-    if args.kind == "poset":
-        payload = order_payload(random_order(n, p, seed))
-    elif args.kind == "quasi":
-        payload = order_payload(random_quasi(n, p, seed))
-    elif args.kind == "digraph":
-        payload = digraph_payload(random_digraph(n, p, seed))
-    elif args.kind == "symmetric":
-        payload = digraph_payload(random_symmetric(n, p, seed))
-    elif args.kind == "crown":
-        payload = order_payload(crown_order(n))
-    elif args.kind == "chain":
-        payload = order_payload(chain_order(n))
-    elif args.kind == "antichain":
-        payload = order_payload(antichain_order(n))
-    elif args.kind == "boolean":
-        payload = order_payload(boolean_order(n))
-    elif args.kind == "cycle":
-        payload = digraph_payload(directed_cycle(n))
-    else:
-        payload = digraph_payload(bidirected_clique(n))
-    out.write(dumps(payload))
+    make, payload = GENERATORS[args.kind]
+    out.write(dumps(payload(make(n, args.p, args.seed))))
     return 0
 
 
@@ -453,21 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hom)
 
     p = subs.add_parser("gen", help="instance generators")
-    p.add_argument(
-        "kind",
-        choices=(
-            "poset",
-            "quasi",
-            "digraph",
-            "symmetric",
-            "crown",
-            "chain",
-            "antichain",
-            "boolean",
-            "cycle",
-            "biclique",
-        ),
-    )
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)

@@ -69,16 +69,33 @@ def corrupt(payload, path, value):
 
 
 def test_checkers_reject_corrupted_witnesses():
+    # (campaign, size, values the edited certificate's witness holds,
+    # edits); each edit is made to the first such certificate
     cases = [
-        ("odim-eq-dicr", {"n": 3}, [(["d_via_dicr"], 9)]),
-        ("dim-landmarks", {}, [(["d"], 7), (["expected"], 7)]),
-        ("dicr-landmarks", {}, [(["k"], 0)]),
-        ("graph-collapse", {"n": 5}, [(["chromatic"], 99)]),
-        ("h1plus", {"n": 3}, [(["k_pair_digraph"], 50)]),
-        ("separators", {"n": 3}, [(["bound"], -1)]),
+        ("odim-eq-dicr", {"n": 3}, {}, [(["d_via_dicr"], 9)]),
+        ("dim-landmarks", {}, {}, [(["d"], 7), (["expected"], 7)]),
+        ("dicr-landmarks", {}, {}, [(["k"], 0)]),
+        ("graph-collapse", {"n": 5}, {}, [(["chromatic"], 99)]),
+        ("h1plus", {"n": 3}, {}, [(["k_pair_digraph"], 50)]),
+        ("separators", {"n": 3}, {}, [(["bound"], -1)]),
+        # a one-class cover does not witness k = 0
+        ("h1plus", {"n": 3}, {"k_pair_digraph": 1}, [(["k_pair_digraph"], 0)]),
+        ("xinapg", {"n": 4}, {"k_source": 1}, [(["k_source"], 0)]),
+        # a landmark's expected value is the one its name stands for
+        ("dim-landmarks", {}, {}, [(["name"], "crown-3")]),
+        ("dicr-landmarks", {}, {}, [(["name"], "biclique-3")]),
+        # the round trip's way back is checked too
+        ("roundtrip", {"n": 3}, {}, [(["back_cover"], {"classes": [[0]]})]),
     ]
-    for name, kw, edits in cases:
-        base = json.loads(dumps(first_cert(name, seed=3, **kw).to_payload()))
+    for name, kw, holds, edits in cases:
+        base = next(
+            doc
+            for doc in (
+                json.loads(dumps(c.to_payload()))
+                for c in run_campaign(name, seed=3, **kw)
+            )
+            if holds.items() <= doc["witness"].items()
+        )
         for path, value in edits:
             assert recheck_certificate(corrupt(base, path, value)) is False, (
                 name,
@@ -164,6 +181,44 @@ def test_checker_recomputes_the_separator_dimension():
     payload = json.loads(dumps(cert.to_payload()))
     assert recheck_certificate(payload) is True
     assert recheck_certificate(corrupt(payload, ["d"], 0)) is False
+
+
+def test_cyclefree_checker_rejects_offered_pairs_out_of_range():
+    cert = next(
+        c
+        for c in run_campaign("cyclefree-extends", n=5, seed=3)
+        if c.witness["outcome"] == "extension" and c.instance["pairs"]
+    )
+    payload = json.loads(dumps(cert.to_payload()))
+    assert recheck_certificate(payload) is True
+    for bad in ([0, -1], [99, 0]):
+        forged = copy.deepcopy(payload)
+        forged["instance"]["pairs"].append(bad)
+        assert recheck_certificate(forged) is False, bad
+
+
+@pytest.fixture(scope="module")
+def honest():
+    """The first verified certificate of each claim, as a payload."""
+    found = {}
+    for name, kw in SMALL.items():
+        for cert in run_campaign(name, seed=3, **kw):
+            if cert.verified and cert.claim not in found:
+                found[cert.claim] = json.loads(dumps(cert.to_payload()))
+    return found
+
+
+@pytest.mark.parametrize("claim", sorted(CHECKERS))
+def test_recheck_rejects_witnesses_missing_keys(honest, claim):
+    payload = honest[claim]
+    witness = payload["witness"]
+    assert recheck_certificate(payload) is True
+    shortened = [{}] + [
+        {k: v for k, v in witness.items() if k != key} for key in witness
+    ]
+    for short in shortened:
+        got = recheck_certificate({**payload, "witness": short})
+        assert got is False, (claim, sorted(short))
 
 
 def test_cyclefree_prefiltered_instances_never_report_cycles():

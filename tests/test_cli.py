@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -128,6 +129,33 @@ def test_gen_crown_feeds_dim(capsys, tmp_path):
     assert main(["gen", "crown", "--n", "3", "--out", path]) == 0
     code, out, _ = invoke(capsys, "dim", path)
     assert code == 0 and json.loads(out)["d"] == 3
+
+
+# sha256 of `orderdim gen KIND --n 5 --seed 1` for every kind
+GEN_DIGESTS = {
+    "poset": "f597b7a751f4b1e6320aad7fed591ed0b8288525a1d468fa4076d3f50a7818d6",
+    "quasi": "2bc6d4d8e7df4a88d336704e7ce645fef661249b3aa113cc3f66e8daa0dc4cca",
+    "digraph": "9e46cb8c47bddf7b7b81bae7858ce489dd97e0ae5d4ebd497ff50ff2125eca5a",
+    "symmetric": "b586657b6f0f43d00abf02365928f44cdb85e4d45f796b54f99657dec0677fa6",
+    "crown": "c17c54b054a8e722ba1ed3540294b93fe1b7c7ff3846d28bb0b10d90c18eac63",
+    "chain": "ba00853c97d3a596c135bc61967473f76e5bd8f278ae72f15de159ef7d339b4c",
+    "antichain": "5cf268db56ba704df3355a1f27de133aa82795b3021876166ff6feade7b9a021",
+    "boolean": "04ab4c3fdbd7e61d1be6fce7b3cc165a38886dbf90138b9a70f179306af373d2",
+    "cycle": "337c1110eb18ee2316aef76ba471c66cb7c0b49749685e0d289a1f9c898b2f52",
+    "biclique": "aa873eee6af919da54df0653e9a85103dff9c3c18b991a7a727128ad67f4dfdc",
+}
+
+
+def test_gen_table_output_bytes_are_pinned(capsys):
+    from orderdim.cli import GENERATORS
+
+    assert list(GENERATORS) == list(GEN_DIGESTS)
+    for kind, digest in GEN_DIGESTS.items():
+        code, out, _ = invoke(capsys, "gen", kind, "--n", "5", "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
+    code, out, err = invoke(capsys, "gen", "ladder")
+    assert code == 2 and out == "" and "invalid choice" in err
 
 
 def test_self_loop_input_is_usage_error(capsys, tmp_path):
