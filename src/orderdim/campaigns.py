@@ -393,7 +393,7 @@ def check_minimal_chain(instance: dict, witness: dict) -> bool:
     )
     if not verify_homomorphism(g, k, comp):
         return False
-    for c in minimal_cycles(g, g.n):
+    for c in minimal_cycles(g):
         image = tuple(w1.mapping[v] for v in c.verts)
         if not is_minimal_cycle(h, image):
             return False
@@ -766,10 +766,7 @@ def run_hom_transfer(n, seed, budget):
             g = _induced(h, keep)
         else:
             g = random_digraph(max(2, size_h - rng.below(2)), p, rng.next_u64())
-        try:
-            w = find_homomorphism(g, h, minimal=False, budget=budget)
-        except OrderdimError:
-            continue
+        w = find_homomorphism(g, h, minimal=False, budget=budget)
         if w is None:
             continue
         res_g = dichromatic_number(g, budget)
@@ -828,10 +825,7 @@ def run_minimal_hom(n, seed, budget):
     g = directed_cycle(6)
     h = directed_cycle(3)
     wrap = find_homomorphism(g, h, minimal=False, budget=budget)
-    try:
-        strict = find_homomorphism(g, h, minimal=True, budget=budget)
-    except OrderdimError:
-        strict = None
+    strict = find_homomorphism(g, h, minimal=True, budget=budget)
     reject = verify_homomorphism(g, h, HomWitness(wrap.mapping, True))
     witness = {
         "map": list(wrap.mapping),
@@ -856,11 +850,8 @@ def run_minimal_hom(n, seed, budget):
         mid = _induced(big, mid_keep)
         small_keep = [v for v in range(mid.n) if rng.chance(0.8)] or [0]
         small = _induced(mid, small_keep)
-        try:
-            w1 = find_homomorphism(small, mid, minimal=True, budget=budget)
-            w2 = find_homomorphism(mid, big, minimal=True, budget=budget)
-        except OrderdimError:
-            continue
+        w1 = find_homomorphism(small, mid, minimal=True, budget=budget)
+        w2 = find_homomorphism(mid, big, minimal=True, budget=budget)
         if w1 is None or w2 is None:
             continue
         witness = {"map_gh": list(w1.mapping), "map_hk": list(w2.mapping)}
@@ -879,31 +870,39 @@ def run_minimal_hom(n, seed, budget):
         made += 1
 
 
-# name -> (runner, default size bound n; None where the campaign has none)
+# name -> (runner, default size bound n or None where the campaign has
+# none, least n: 1 where the runner draws instance sizes from 1..n)
 CAMPAIGNS = {
-    "odim-eq-dicr": (run_odim_eq_dicr, 4),
-    "dim-agreement": (run_dim_agreement, 6),
-    "dim-landmarks": (run_dim_landmarks, None),
-    "dicr-landmarks": (run_dicr_landmarks, None),
-    "graph-collapse": (run_graph_collapse, 8),
-    "h1plus": (run_h1plus, 4),
-    "cyclefree-extends": (run_cyclefree_extends, 7),
-    "roundtrip": (run_roundtrip, 4),
-    "g0": (run_g0_objects, 3),
-    "xinapg": (run_xinapg, 6),
-    "hom-transfer": (run_hom_transfer, 6),
-    "separators": (run_separators, 4),
-    "minimal-hom": (run_minimal_hom, None),
+    "odim-eq-dicr": (run_odim_eq_dicr, 4, 0),
+    "dim-agreement": (run_dim_agreement, 6, 1),
+    "dim-landmarks": (run_dim_landmarks, None, 0),
+    "dicr-landmarks": (run_dicr_landmarks, None, 0),
+    "graph-collapse": (run_graph_collapse, 8, 1),
+    "h1plus": (run_h1plus, 4, 0),
+    "cyclefree-extends": (run_cyclefree_extends, 7, 0),
+    "roundtrip": (run_roundtrip, 4, 0),
+    "g0": (run_g0_objects, 3, 0),
+    "xinapg": (run_xinapg, 6, 1),
+    "hom-transfer": (run_hom_transfer, 6, 0),
+    "separators": (run_separators, 4, 0),
+    "minimal-hom": (run_minimal_hom, None, 0),
 }
 
 
 def run_campaign(name, n=None, seed=0, budget=None):
+    """The campaign's certificates, streamed lazily. The name and n are
+    checked here, before the first certificate is made."""
     try:
-        runner, default_n = CAMPAIGNS[name]
+        runner, default_n, least_n = CAMPAIGNS[name]
     except KeyError:
         raise OrderdimError(
-            f"unknown campaign {name!r}; choose from {sorted(CAMPAIGNS)}"
+            f"unknown campaign {name!r}; choose from "
+            + ", ".join(sorted(CAMPAIGNS))
         ) from None
+    if n is None:
+        n = default_n
+    elif n < least_n:
+        raise OrderdimError(f"campaign {name} needs n >= {least_n}, got {n}")
     return runner(
-        default_n if n is None else n, seed, budget or DEFAULT_SEARCH_BUDGET
+        n, seed, DEFAULT_SEARCH_BUDGET if budget is None else budget
     )

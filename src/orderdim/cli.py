@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .campaigns import CAMPAIGNS, run_campaign
+from .campaigns import run_campaign
 from .digraphs import HomWitness, find_homomorphism, verify_homomorphism
 from .errors import (
     BranchTooLarge,
@@ -358,14 +358,13 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.name not in CAMPAIGNS:
-        raise UsageError(
-            f"unknown campaign {args.name!r}; choose from "
-            + ", ".join(sorted(CAMPAIGNS))
-        )
     budget = _resolve_budget(args)
+    try:
+        certs = run_campaign(args.name, n=args.n, seed=args.seed, budget=budget)
+    except OrderdimError as exc:
+        raise UsageError(str(exc))
     total = 0
-    for cert in run_campaign(args.name, n=args.n, seed=args.seed, budget=budget):
+    for cert in certs:
         total += 1
         out.write(dumps(cert.to_payload()))
         if not cert.verified:

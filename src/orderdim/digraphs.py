@@ -146,9 +146,9 @@ DEFAULT_CYCLE_BUDGET = 10**6
 
 
 def minimal_cycles(
-    d: Digraph, max_len: int | None = None, budget: int = DEFAULT_CYCLE_BUDGET
+    d: Digraph, budget: int = DEFAULT_CYCLE_BUDGET
 ) -> tuple[Cycle, ...]:
-    """All minimal cycles of length <= max_len, least vertex first.
+    """All minimal cycles, least vertex first.
 
     A minimal cycle visits distinct vertices and induces no edges besides
     the consecutive ones, so it is an induced copy of a directed cycle.
@@ -157,8 +157,6 @@ def minimal_cycles(
     start forbids any longer continuation. Raises LimitExceeded after
     `budget` extension attempts.
     """
-    if max_len is None:
-        max_len = d.n
     rows = d.rows
     out: list[Cycle] = []
     nodes = 0
@@ -188,18 +186,16 @@ def minimal_cycles(
                     if not ok:
                         continue
                 if (rows[w] >> v0) & 1:
-                    if k + 1 <= max_len:
-                        out.append(Cycle(tuple(path) + (w,)))
+                    out.append(Cycle(tuple(path) + (w,)))
                     continue
-                if k + 2 <= max_len:
-                    stack.append((path + [w], seen | (1 << w)))
+                stack.append((path + [w], seen | (1 << w)))
     out.sort(key=lambda c: (len(c.verts), c.verts))
     return tuple(out)
 
 
 def is_k_uniform(d: Digraph, k: int, budget: int = DEFAULT_CYCLE_BUDGET) -> bool:
     """True iff every minimal cycle has length at most k."""
-    return all(c.length <= k for c in minimal_cycles(d, d.n, budget))
+    return all(c.length <= k for c in minimal_cycles(d, budget))
 
 
 def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
@@ -272,17 +268,16 @@ class HomCheck:
         return self.ok
 
 
-def _forbidden_pairs(g: Digraph, budget: int) -> set[tuple[int, int]]:
-    """Ordered non-edge pairs inside minimal cycles of g."""
-    forb: set[tuple[int, int]] = set()
-    for c in minimal_cycles(g, g.n, budget):
+def _cycle_non_edges(g: Digraph, budget: int):
+    """Each ordered non-edge pair inside a minimal cycle of g, with the
+    cycle: cycles in minimal_cycles order, pairs by position in it."""
+    for c in minimal_cycles(g, budget):
         vs = c.verts
         m = len(vs)
         for i in range(m):
             for j in range(m):
                 if i != j and j != (i + 1) % m:
-                    forb.add((vs[i], vs[j]))
-    return forb
+                    yield (vs[i], vs[j]), vs
 
 
 DEFAULT_HOM_BUDGET = 10**6
@@ -301,20 +296,11 @@ def verify_homomorphism(g: Digraph, h: Digraph, w: HomWitness) -> HomCheck:
             if not h.adj(m[u], m[v]):
                 return HomCheck(False, "edge not preserved", (u, v))
     if w.minimal:
-        for c in minimal_cycles(g, g.n):
-            vs = c.verts
-            size = len(vs)
-            for i in range(size):
-                for j in range(size):
-                    if i == j or j == (i + 1) % size:
-                        continue
-                    if h.adj(m[vs[i]], m[vs[j]]):
-                        return HomCheck(
-                            False,
-                            "cycle non-edge mapped to an edge",
-                            (vs[i], vs[j]),
-                            vs,
-                        )
+        for (a, b), cycle in _cycle_non_edges(g, DEFAULT_CYCLE_BUDGET):
+            if h.adj(m[a], m[b]):
+                return HomCheck(
+                    False, "cycle non-edge mapped to an edge", (a, b), cycle
+                )
     return HomCheck(True)
 
 
@@ -350,7 +336,7 @@ def find_homomorphism(
         for v in bits_of(g.rows[u]):
             add(u, v, True)
     if minimal:
-        for a, b in sorted(_forbidden_pairs(g, budget)):
+        for a, b in sorted({p for p, _ in _cycle_non_edges(g, budget)}):
             add(a, b, False)
     image = [0] * g.n
     nodes = 0

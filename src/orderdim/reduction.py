@@ -32,7 +32,6 @@ from .relations import (
     bits_of,
     close_rows,
     extends,
-    quotient,
     transpose_rows,
 )
 
@@ -100,20 +99,20 @@ def critical_pair_digraph(
     so the dichromatic number of this digraph is the dimension whenever q
     has an incomparable pair.
     """
-    qt = quotient(q)
-    m = qt.size
-    up = qt.lt_rows
-    down = transpose_rows(up, m)
-    pairs = sorted(
-        (qt.classes[b][0], qt.classes[a][0])
-        for a in range(m)
-        for b in range(m)
+    same, down, up = _peel_frame(q)
+    # below- and above-sets are unions of classes, so comparing them as
+    # element masks compares the quotient's strict order
+    leaders = [x for x in range(q.n) if same[x] & -same[x] == 1 << x]
+    pairs = tuple(
+        (b, a)
+        for b in leaders
+        for a in leaders
         if a != b
         and not ((up[a] | down[a]) >> b) & 1
         and down[a] & ~down[b] == 0
         and up[b] & ~up[a] == 0
     )
-    return _pair_edges(q, pairs), tuple(pairs)
+    return _pair_edges(q, pairs), pairs
 
 
 def extension_pairs(

@@ -138,15 +138,6 @@ class StrictOrder:
         return bool((self.rows[i] >> j) & 1)
 
 
-def strict_order(n: int, pairs) -> StrictOrder:
-    rows = [0] * n
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"pair ({i}, {j}) outside 0..{n - 1}")
-        rows[i] |= 1 << j
-    return StrictOrder(n, tuple(rows))
-
-
 @dataclass(frozen=True, slots=True)
 class QuotientPoset:
     """Mutual-relation classes of a quasi order with the induced strict order.
@@ -219,13 +210,15 @@ def extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     return len(set(base.rows)) == len(set(ext.rows))
 
 
-def _peel_frame(q: QuasiOrder) -> tuple[list[int], list[int]]:
-    """Each element's q-class and the elements strictly below it in q:
-    all that a peel reads of q, so peels over one base can share it."""
+def _peel_frame(q: QuasiOrder) -> tuple[list[int], list[int], list[int]]:
+    """Each element's q-class and the elements strictly below and strictly
+    above it in q, from one transpose. A peel reads the first two, so
+    peels over one base can share them."""
     cols = transpose_rows(q.rows, q.n)
     return (
         [r & c for r, c in zip(q.rows, cols)],
         [c & ~r for r, c in zip(q.rows, cols)],
+        [r & ~c for r, c in zip(q.rows, cols)],
     )
 
 
@@ -241,7 +234,7 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     peel stalls, which happens exactly when the pairs close a cycle of
     q-classes.
     """
-    same, below = frame
+    same, below, _ = frame
     if pair_rows:
         below = list(below)
         for a, row in enumerate(pair_rows):

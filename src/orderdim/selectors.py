@@ -130,23 +130,22 @@ def _strides(sigma: tuple[int, ...]) -> list[int]:
     return strides
 
 
-def _guard_size(sigma: tuple[int, ...], max_vertices: int) -> int:
+def _orbits(selector, sigma):
+    """Each increment orbit of the level under sigma, as its vertex ids.
+
+    Checks sigma and the level size first. One orbit per coordinate k and
+    tail: it steps the k-th coordinate through all sigma[k] values over
+    the selected prefix, so consecutive ids and the wrap are its edges.
+    """
+    sigma = check_sigma(sigma)
     total = 1
     for v in sigma:
         total *= v
-    if total > max_vertices:
-        raise BranchTooLarge(f"{total} vertices exceed the bound {max_vertices}")
-    return total
-
-
-def selector_digraph(
-    selector, sigma, max_vertices: int = MAX_LEVEL_VERTICES
-) -> SelectorDigraph:
-    """The increment digraph on the full tree level under sigma."""
-    sigma = check_sigma(sigma)
-    total = _guard_size(sigma, max_vertices)
+    if total > MAX_LEVEL_VERTICES:
+        raise BranchTooLarge(
+            f"{total} vertices exceed the bound {MAX_LEVEL_VERTICES}"
+        )
     strides = _strides(sigma)
-    rows = [0] * total
     for k in range(len(sigma)):
         e = _selector_value(selector, sigma[:k])
         base = sum(e[j] * strides[j] for j in range(k))
@@ -154,37 +153,29 @@ def selector_digraph(
             off = base + sum(
                 tail[j] * strides[k + 1 + j] for j in range(len(tail))
             )
-            for i in range(sigma[k]):
-                s_id = off + i * strides[k]
-                t_id = off + ((i + 1) % sigma[k]) * strides[k]
-                rows[s_id] |= 1 << t_id
+            yield tuple(off + i * strides[k] for i in range(sigma[k]))
+
+
+def selector_digraph(selector, sigma) -> SelectorDigraph:
+    """The increment digraph on the full tree level under sigma."""
+    # drain the orbits first: the size guard fires before any allocation
+    orbits = list(_orbits(selector, sigma))
+    sigma = check_sigma(sigma)
     verts = tuple(itertools.product(*(range(v) for v in sigma)))
-    return SelectorDigraph(sigma, verts, Digraph(total, tuple(rows)))
+    rows = [0] * len(verts)
+    for orbit in orbits:
+        for s_id, t_id in zip(orbit, orbit[1:] + orbit[:1]):
+            rows[s_id] |= 1 << t_id
+    return SelectorDigraph(sigma, verts, Digraph(len(verts), tuple(rows)))
 
 
-def canonical_cycles(
-    selector, sigma, max_vertices: int = MAX_LEVEL_VERTICES
-) -> tuple[Cycle, ...]:
+def canonical_cycles(selector, sigma) -> tuple[Cycle, ...]:
     """One increment orbit per level and tail: the built-in minimal cycles.
 
     The orbit at level k steps the k-th coordinate through all sigma[k]
     values over the selected prefix; as a cycle its length is sigma[k]-1.
     """
-    sigma = check_sigma(sigma)
-    _guard_size(sigma, max_vertices)
-    strides = _strides(sigma)
-    out = []
-    for k in range(len(sigma)):
-        e = _selector_value(selector, sigma[:k])
-        base = sum(e[j] * strides[j] for j in range(k))
-        for tail in itertools.product(*(range(v) for v in sigma[k + 1:])):
-            off = base + sum(
-                tail[j] * strides[k + 1 + j] for j in range(len(tail))
-            )
-            out.append(
-                Cycle(tuple(off + i * strides[k] for i in range(sigma[k])))
-            )
-    return tuple(out)
+    return tuple(Cycle(orbit) for orbit in _orbits(selector, sigma))
 
 
 def level_edge_count(sigma, k: int) -> int:

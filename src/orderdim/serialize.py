@@ -4,7 +4,7 @@ Orders travel as {"kind":"quasi","n":N,"pairs":[[i,j],...],"closure":bool}
 with the diagonal implied; digraphs as {"kind":"digraph","n":N,"edges":...}
 and self-loops are a hard error. Covers are {"classes":[[...],...]},
 extension families {"extensions":[pairs-list,...]} against a base given
-separately, branching sequences {"sigma":[...]}, homomorphism witnesses
+separately, homomorphism witnesses
 {"kind":"homwitness","map":[...],"minimal":bool}. Serialization is
 canonical (sorted keys, no spaces), so fixed seeds give fixed bytes.
 """
@@ -58,10 +58,6 @@ def family_payload(f: ExtensionFamily) -> dict:
             [list(p) for p in e.related_pairs()] for e in f.exts
         ]
     }
-
-
-def sigma_payload(sigma) -> dict:
-    return {"sigma": list(sigma)}
 
 
 def homwitness_payload(w: HomWitness) -> dict:
@@ -143,17 +139,6 @@ def family_from_payload(doc: Any, base: QuasiOrder) -> ExtensionFamily:
         pairs = _int_pairs(raw, "extension")
         exts.append(quasi_order(base.n, pairs, close=False))
     return ExtensionFamily(base, tuple(exts))
-
-
-def sigma_from_payload(doc: Any) -> tuple[int, ...]:
-    if not isinstance(doc, dict) or "sigma" not in doc:
-        raise FormatError('expected an object with "sigma"')
-    raw = doc["sigma"]
-    if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
-        raise FormatError('"sigma" must be a list of ints')
-    if any(v < 2 for v in raw):
-        raise FormatError('"sigma" entries must all be at least 2')
-    return tuple(raw)
 
 
 def homwitness_from_payload(doc: Any) -> HomWitness:

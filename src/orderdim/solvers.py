@@ -261,7 +261,7 @@ def order_dimension(
     _check_budget(budget)
     cp, pairs = critical_pair_digraph(q)
     if cp.n == 0:
-        if quotient(q).size <= 1:
+        if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
     res = dichromatic_number(cp, budget)

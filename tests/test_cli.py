@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import orderdim
+from orderdim.campaigns import CAMPAIGNS
 from orderdim.cli import main, run
+
+from .test_search_identity import CAMPAIGN_DIGESTS
 
 
 def invoke(capsys, *argv):
@@ -344,6 +347,37 @@ def test_verify_small_campaign_streams_certificates(capsys):
 def test_verify_unknown_campaign(capsys):
     code, _, err = invoke(capsys, "verify", "nope")
     assert code == 2 and "unknown campaign" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "12"])
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_verify_budget_stops_or_keeps_the_default_bytes(name, budget):
+    # a budget stop must end the run with exit 3, never skip an instance
+    # or redraw it
+    proc = child(
+        "-m", "orderdim.cli", "verify", name, "--budget", budget,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    if proc.returncode == 3:
+        assert b"budget exceeded" in err and b"Traceback" not in err
+    else:
+        assert proc.returncode == 0, err.decode()
+        assert hashlib.sha256(out).hexdigest() == CAMPAIGN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_verify_n_below_the_least_size_is_usage_error(capsys, name):
+    least = CAMPAIGNS[name][2]
+    for n in sorted({-1, least - 1}):
+        code, out, err = invoke(capsys, "verify", name, "--n", str(n))
+        assert code == 2 and out == "" and f"needs n >= {least}" in err
+    code, out, _ = invoke(capsys, "verify", name, "--n", str(least))
+    assert code == 0 and out
 
 
 def test_verify_output_bytes_are_seed_stable(tmp_path):

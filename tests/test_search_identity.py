@@ -6,10 +6,12 @@ critical-pair subdigraph (the one `order_dimension` searches), and the
 sha256 of the canonical `order_dimension` output. A change to the
 solver that keeps the search keeps both; one that changes the visit
 order, the node count or the chosen cover fails here and has to say why.
-The canonical lines of every certificate campaign and the canonical
-`chromatic_number` output over a sweep of graphs are pinned the same way,
-and so are the total search nodes and the covers over sweeps of random
-digraphs and critical-pair digraphs under a fixed budget.
+The canonical lines of every certificate campaign, the canonical
+`chromatic_number` output over a sweep of graphs, `orderdim g0 k` over
+fixed branching sequences and the homomorphism search and recheck over
+seeded digraph pairs are pinned the same way, and so are the total search
+nodes and the covers over sweeps of random digraphs and critical-pair
+digraphs under a fixed budget.
 """
 
 from __future__ import annotations
@@ -19,20 +21,24 @@ import hashlib
 import pytest
 
 from orderdim import (
+    HomWitness,
     LimitExceeded,
     boolean_order,
     chromatic_number,
     critical_pair_digraph,
     crown_order,
     dichromatic_number,
+    find_homomorphism,
     order_dimension,
     pair_digraph,
     random_digraph,
     random_order,
     random_symmetric,
     scc_decompose,
+    verify_homomorphism,
 )
 from orderdim.campaigns import CAMPAIGNS, run_campaign
+from orderdim.cli import run
 from orderdim.relations import transpose_rows
 from orderdim.serialize import dumps, family_payload
 from orderdim.solvers import _cover_scc
@@ -129,6 +135,65 @@ def test_campaign_output_bytes_are_pinned(name):
     for cert in run_campaign(name, seed=0):
         h.update(dumps(cert.to_payload()).encode())
     assert h.hexdigest() == CAMPAIGN_DIGESTS[name]
+
+
+# sha256 of the stdout of `orderdim g0 k --sigma S`
+G0_K_DIGESTS = {
+    "": "377e7bd5dc5a0c24c37cad317cfe4031c3369558dc20be3f664d53fb90933239",
+    "2": "c0943953587d55ec8c8ead4c6933e41ecf329a88d8a9e8ca629e1158d499351c",
+    "3": "ed592a419bdce07057442777e7bbf22f846f61700218251fd6bd631360960b64",
+    "2,2": "fe9175da1a06b653b74657da632c571656c54ac7f99d8ecca0ff8a388ef64bfc",
+    "3,2": "d43ef393042730948b536c8f99198b6efae01a01549dc3c7b42e1aaf217b068c",
+    "2,3,4": "3196339e0ee25798cb92bb28744cc0fbb4359dc57dfb0425fcbc5f906f687ba0",
+    "4,4,4": "5cfdf8efc354828924c4939200cf2e3dd685453741160a0bb3970c0fa9fef47b",
+    "2,2,2,2": "3dd2c9206c62f2eaaf83a7aeab9859f197b7f0fd00d15ab6d74cb80bc010ef77",
+    "5,3,2": "aaeaed2a209eced90739d3c5aa5efd45b9bedc97176130b69e6b6b41436f833a",
+}
+
+
+def test_g0_k_output_bytes_are_pinned(capsys):
+    for sigma, digest in G0_K_DIGESTS.items():
+        assert run(["g0", "k", "--sigma", sigma]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, sigma
+
+
+# Seeded digraph pairs (G, H) with H one vertex smaller and denser: the
+# plain and minimal find_homomorphism witnesses, and the minimal recheck
+# (ok, reason, pair, cycle) of the plain map and of v -> v mod |H|
+HOM_SWEEP = [
+    (n, p, seed)
+    for n in range(2, 7)
+    for p in (0.2, 0.35, 0.5, 0.65)
+    for seed in range(25)
+]
+HOM_DIGEST = "a59635e057adeaa41c7d97f8b86df7b0238da0e3c666974aaf1f7145225aa868"
+
+
+def test_homomorphism_outputs_are_pinned():
+    h = hashlib.sha256()
+    cycle_faults = 0
+    for n, p, seed in HOM_SWEEP:
+        g = random_digraph(n, p, seed)
+        k = random_digraph(n - 1, min(p + 0.3, 0.95), seed + 1)
+        plain = find_homomorphism(g, k)
+        strict = find_homomorphism(g, k, minimal=True)
+        maps = [plain.mapping] if plain else []
+        maps.append(tuple(v % k.n for v in range(g.n)))
+        checks = []
+        for m in maps:
+            c = verify_homomorphism(g, k, HomWitness(m, True))
+            cycle_faults += c.reason == "cycle non-edge mapped to an edge"
+            checks.append([
+                c.ok, c.reason, c.pair and list(c.pair), c.cycle and list(c.cycle)
+            ])
+        h.update(dumps({
+            "plain": plain and list(plain.mapping),
+            "minimal": strict and list(strict.mapping),
+            "checks": checks,
+        }).encode())
+    assert cycle_faults == 34
+    assert h.hexdigest() == HOM_DIGEST
 
 
 # sha256 of the canonical `orderdim chrom` output over a sweep of graphs

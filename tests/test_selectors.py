@@ -161,9 +161,17 @@ def test_symmetry_facts():
 
 
 def test_branch_guard():
-    sel = DenseSelector()
-    with pytest.raises(BranchTooLarge):
-        selector_digraph(sel, (4,) * 7)
+    asked = []
+
+    def sel(sigma):
+        asked.append(sigma)
+        return (0,) * len(sigma)
+
+    for build in (selector_digraph, canonical_cycles):
+        with pytest.raises(BranchTooLarge):
+            build(sel, (4,) * 7)
+    # the guard fires before the walk asks the selector anything
+    assert asked == []
 
 
 def test_dicr_of_branching_digraph_is_at_least_two():

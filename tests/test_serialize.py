@@ -24,8 +24,6 @@ from orderdim.serialize import (
     order_from_payload,
     order_payload,
     parse_json,
-    sigma_from_payload,
-    sigma_payload,
 )
 from orderdim.solvers import order_dimension
 
@@ -59,8 +57,7 @@ def test_cover_and_family_round_trips():
     )
 
 
-def test_sigma_and_homwitness_round_trips():
-    assert sigma_from_payload(sigma_payload((2, 3, 4))) == (2, 3, 4)
+def test_homwitness_round_trips():
     w = HomWitness((0, 1, 2), True)
     again = homwitness_from_payload(homwitness_payload(w))
     assert again.mapping == w.mapping and again.minimal
@@ -73,8 +70,6 @@ def test_parse_and_format_errors():
         order_from_payload({"kind": "poset", "n": 1, "pairs": []})
     with pytest.raises(FormatError):
         order_from_payload({"kind": "quasi", "n": 2, "pairs": [["a", 0]]})
-    with pytest.raises(FormatError):
-        sigma_from_payload({"sigma": [1]})
 
 
 def test_dumps_is_canonical():
