@@ -9,7 +9,6 @@ reproduces it; solvers never get to grade their own answers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .digraphs import (
     Digraph,
@@ -49,6 +48,7 @@ from .reduction import (
     prefix_separators,
     two_level_order,
 )
+from .records import Record, set_slot
 from .relations import QuasiOrder, bits_of, close_rows, extends
 from .rng import SplitMix64
 from .selectors import (
@@ -77,15 +77,28 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
-    claim: str
-    index: int
-    instance: dict
-    witness: dict
-    verified: bool
-    seed: int | None = None
-    config: dict = field(default_factory=dict)
+class Certificate(Record):
+    __slots__ = _fields = (
+        "claim", "index", "instance", "witness", "verified", "seed", "config"
+    )
+
+    def __init__(
+        self,
+        claim: str,
+        index: int,
+        instance: dict,
+        witness: dict,
+        verified: bool,
+        seed: int | None = None,
+        config: dict | None = None,
+    ):
+        set_slot(self, "claim", claim)
+        set_slot(self, "index", index)
+        set_slot(self, "instance", instance)
+        set_slot(self, "witness", witness)
+        set_slot(self, "verified", verified)
+        set_slot(self, "seed", seed)
+        set_slot(self, "config", {} if config is None else config)
 
     def to_payload(self) -> dict:
         return {

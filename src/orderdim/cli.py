@@ -12,11 +12,11 @@ import argparse
 import os
 import sys
 
-from .campaigns import run_campaign
 from .digraphs import HomWitness, find_homomorphism, verify_homomorphism
 from .errors import (
     BranchTooLarge,
     CycleInX,
+    IndexOutOfRange,
     LimitExceeded,
     OrderdimError,
     TooLarge,
@@ -340,13 +340,23 @@ def _cmd_gen(args, out) -> int:
         raise UsageError(f"--n must be at least 0, got {n}")
     if n > MAX_INPUT_N:
         raise UsageError(f"--n is {n}, above the input limit of {MAX_INPUT_N}")
+    # nan compares false with everything, so it fails this test too
+    if not 0 <= args.p <= 1:
+        raise UsageError(f"--p must be a number in [0, 1], got {args.p}")
     make, payload = GENERATORS[args.kind]
-    out.write(dumps(payload(make(n, args.p, args.seed))))
+    try:
+        instance = make(n, args.p, args.seed)
+    except IndexOutOfRange as exc:
+        # crown and cycle have a least size of their own
+        raise UsageError(str(exc))
+    out.write(dumps(payload(instance)))
     return 0
 
 
 def _cmd_enumerate(args, out) -> int:
     n = 4 if args.n is None else args.n
+    if n < 0:
+        raise UsageError(f"--n must be at least 0, got {n}")
     count = 0
     for q in enumerate_posets(n):
         count += 1
@@ -358,6 +368,9 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    # only verify needs the campaigns, so other commands skip their import
+    from .campaigns import run_campaign
+
     budget = _resolve_budget(args)
     try:
         certs = run_campaign(args.name, n=args.n, seed=args.seed, budget=budget)

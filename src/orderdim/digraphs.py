@@ -9,31 +9,30 @@ minimal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     IndexOutOfRange,
     LimitExceeded,
     NotADigraph,
     SizeMismatch,
 )
+from .records import Record, set_slot
 from .relations import bits_of, transpose_rows
 
 
-@dataclass(frozen=True, slots=True)
-class Digraph:
-    n: int
-    rows: tuple[int, ...]
+class Digraph(Record):
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.rows) != self.n:
-            raise NotADigraph(f"{len(self.rows)} rows for {self.n} vertices")
-        full = (1 << self.n) - 1
-        for i, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if n < 0 or len(rows) != n:
+            raise NotADigraph(f"{len(rows)} rows for {n} vertices")
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
             if row & ~full:
-                raise IndexOutOfRange(f"row {i} points outside 0..{self.n - 1}")
+                raise IndexOutOfRange(f"row {i} points outside 0..{n - 1}")
             if (row >> i) & 1:
                 raise NotADigraph(f"self-loop at {i}")
+        set_slot(self, "n", n)
+        set_slot(self, "rows", rows)
 
     def adj(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -66,15 +65,15 @@ def digraph(n: int, edges) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(Record):
     """Closed walk given by its vertices; the wrap edge is implied."""
 
-    verts: tuple[int, ...]
+    __slots__ = _fields = ("verts",)
 
-    def __post_init__(self):
-        if len(self.verts) < 2:
+    def __init__(self, verts: tuple[int, ...]):
+        if len(verts) < 2:
             raise SizeMismatch("a cycle needs at least two vertices")
+        set_slot(self, "verts", verts)
 
     @property
     def length(self) -> int:
@@ -247,22 +246,32 @@ def _strong_components(rows, cols) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-@dataclass(frozen=True, slots=True)
-class HomWitness:
+class HomWitness(Record):
     """A vertex map claimed edge-preserving; minimal adds the cycle rule."""
 
-    mapping: tuple[int, ...]
-    minimal: bool = False
+    __slots__ = _fields = ("mapping", "minimal")
+
+    def __init__(self, mapping: tuple[int, ...], minimal: bool = False):
+        set_slot(self, "mapping", mapping)
+        set_slot(self, "minimal", minimal)
 
 
-@dataclass(frozen=True, slots=True)
-class HomCheck:
+class HomCheck(Record):
     """Verification outcome; on failure names the pair (and cycle) at fault."""
 
-    ok: bool
-    reason: str | None = None
-    pair: tuple[int, int] | None = None
-    cycle: tuple[int, ...] | None = None
+    __slots__ = _fields = ("ok", "reason", "pair", "cycle")
+
+    def __init__(
+        self,
+        ok: bool,
+        reason: str | None = None,
+        pair: tuple[int, int] | None = None,
+        cycle: tuple[int, ...] | None = None,
+    ):
+        set_slot(self, "ok", ok)
+        set_slot(self, "reason", reason)
+        set_slot(self, "pair", pair)
+        set_slot(self, "cycle", cycle)
 
     def __bool__(self) -> bool:
         return self.ok

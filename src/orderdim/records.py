@@ -1,0 +1,50 @@
+"""Immutable slotted records, the base of every result type.
+
+A record class names its compared fields in `_fields`, its storage in
+`__slots__`, and fills the slots in its own `__init__` with `set_slot`.
+Equality, hash and repr then run over `_fields`: objects are equal only
+to objects of the same class with equal fields, the hash is that of the
+field tuple, and the repr reads `Name(field=value, ...)`. Assigning or
+deleting any attribute raises AttributeError.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+set_slot = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            cls._key = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._key = staticmethod(get)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "{}({})".format(
+            self.__class__.__qualname__,
+            ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key(self)

@@ -11,7 +11,6 @@ full cover corresponds to a family of extensions that decides everything.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .digraphs import Digraph, is_acyclic
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     NotExtension,
     SizeMismatch,
 )
+from .records import Record, set_slot
 from .relations import (
     QuasiOrder,
     StrictOrder,
@@ -36,17 +36,15 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PairVertexMap:
+class PairVertexMap(Record):
     """Pair digraph vertices in lexicographic order, with reverse lookup."""
 
-    pairs: tuple[tuple[int, int], ...]
-    _index: dict = field(compare=False, repr=False, default=None)
+    __slots__ = ("pairs", "_index")
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {p: i for i, p in enumerate(self.pairs)}
-        )
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        set_slot(self, "pairs", pairs)
+        set_slot(self, "_index", {p: i for i, p in enumerate(pairs)})
 
     def index(self, pair: tuple[int, int]) -> int:
         try:
@@ -242,17 +240,14 @@ def lift_pair_sets(base: QuasiOrder, pair_sets) -> tuple[QuasiOrder, ...]:
     return tuple(exts)
 
 
-@dataclass(frozen=True, slots=True)
-class AcyclicCover:
+class AcyclicCover(Record):
     """Vertex classes meant to cover a digraph, each without a cycle."""
 
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("classes",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "classes",
-            tuple(tuple(sorted(set(c))) for c in self.classes),
+    def __init__(self, classes: tuple[tuple[int, ...], ...]):
+        set_slot(
+            self, "classes", tuple(tuple(sorted(set(c))) for c in classes)
         )
 
 
@@ -291,32 +286,34 @@ def undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionFamily:
+class ExtensionFamily(Record):
     """Extensions of one base that jointly decide every ordered pair."""
 
-    base: QuasiOrder
-    exts: tuple[QuasiOrder, ...]
+    __slots__ = _fields = ("base", "exts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exts", tuple(self.exts))
-        for e in self.exts:
-            if not extends(self.base, e):
+    def __init__(self, base: QuasiOrder, exts: tuple[QuasiOrder, ...]):
+        exts = tuple(exts)
+        for e in exts:
+            if not extends(base, e):
                 raise NotExtension("family member does not extend the base")
-        missing = undecided_pair(self.base, self.exts)
+        missing = undecided_pair(base, exts)
         if missing is not None:
             raise IncompleteFamily(missing)
+        set_slot(self, "base", base)
+        set_slot(self, "exts", exts)
 
     @property
     def size(self) -> int:
         return len(self.exts)
 
 
-@dataclass(frozen=True, slots=True)
-class Incomplete:
+class Incomplete(Record):
     """Separator family fell short; carries one undecided pair."""
 
-    pair: tuple[int, int]
+    __slots__ = _fields = ("pair",)
+
+    def __init__(self, pair: tuple[int, int]):
+        set_slot(self, "pair", pair)
 
 
 def cover_to_extensions(base: QuasiOrder, cover: AcyclicCover) -> ExtensionFamily:

@@ -6,14 +6,13 @@ set means i is related to j. All values are immutable and pure to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     IndexOutOfRange,
     NotQuasiOrder,
     NotStrictOrder,
     SizeMismatch,
 )
+from .records import Record, set_slot
 
 
 def close_rows(rows: list[int], n: int) -> list[int]:
@@ -58,27 +57,27 @@ def _check_rows_shape(n: int, rows: tuple[int, ...]) -> None:
             raise IndexOutOfRange(f"row {i} relates ids outside 0..{n - 1}")
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiOrder:
+class QuasiOrder(Record):
     """A reflexive transitive relation. Validated on construction."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        _check_rows_shape(self.n, self.rows)
-        for i, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        _check_rows_shape(n, rows)
+        for i, row in enumerate(rows):
             if not (row >> i) & 1:
                 raise NotQuasiOrder((i, i, i), f"not reflexive at {i}")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             r = row
             while r:
                 j = (r & -r).bit_length() - 1
-                missing = self.rows[j] & ~row
+                missing = rows[j] & ~row
                 if missing:
                     k = (missing & -missing).bit_length() - 1
                     raise NotQuasiOrder((i, j, k))
                 r &= r - 1
+        set_slot(self, "n", n)
+        set_slot(self, "rows", rows)
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
@@ -117,49 +116,54 @@ def quasi_order(n: int, pairs, close: bool = False) -> QuasiOrder:
     return QuasiOrder(n, tuple(rows))
 
 
-@dataclass(frozen=True, slots=True)
-class StrictOrder:
+class StrictOrder(Record):
     """An irreflexive transitive relation, same row encoding."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        _check_rows_shape(self.n, self.rows)
-        for i, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        _check_rows_shape(n, rows)
+        for i, row in enumerate(rows):
             if (row >> i) & 1:
                 raise NotStrictOrder(f"not irreflexive at {i}")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             for j in bits_of(row):
-                if self.rows[j] & ~row:
+                if rows[j] & ~row:
                     raise NotStrictOrder(f"not transitive through ({i}, {j})")
+        set_slot(self, "n", n)
+        set_slot(self, "rows", rows)
 
     def lt(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientPoset:
+class QuotientPoset(Record):
     """Mutual-relation classes of a quasi order with the induced strict order.
 
     Classes are listed by least member; class_of maps element to class id.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    lt_rows: tuple[int, ...]
+    __slots__ = _fields = ("classes", "class_of", "lt_rows")
 
-    def __post_init__(self):
-        n = len(self.class_of)
+    def __init__(
+        self,
+        classes: tuple[tuple[int, ...], ...],
+        class_of: tuple[int, ...],
+        lt_rows: tuple[int, ...],
+    ):
+        n = len(class_of)
         seen = [False] * n
-        for ci, cls in enumerate(self.classes):
+        for ci, cls in enumerate(classes):
             for x in cls:
-                if not (0 <= x < n) or seen[x] or self.class_of[x] != ci:
+                if not (0 <= x < n) or seen[x] or class_of[x] != ci:
                     raise SizeMismatch("classes do not partition the ground set")
                 seen[x] = True
         if not all(seen):
             raise SizeMismatch("classes do not partition the ground set")
-        StrictOrder(len(self.classes), self.lt_rows)
+        StrictOrder(len(classes), lt_rows)
+        set_slot(self, "classes", classes)
+        set_slot(self, "class_of", class_of)
+        set_slot(self, "lt_rows", lt_rows)
 
     @property
     def size(self) -> int:

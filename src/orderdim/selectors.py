@@ -11,10 +11,10 @@ by one modulo its branching factor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .digraphs import Cycle, Digraph
 from .errors import BadSelector, BranchTooLarge
+from .records import Record, set_slot
 
 MAX_LEVEL_VERTICES = 4096
 
@@ -110,11 +110,18 @@ def _selector_value(selector, sigma) -> tuple[int, ...]:
     return val
 
 
-@dataclass(frozen=True, slots=True)
-class SelectorDigraph:
-    sigma: tuple[int, ...]
-    verts: tuple[tuple[int, ...], ...]
-    graph: Digraph
+class SelectorDigraph(Record):
+    __slots__ = _fields = ("sigma", "verts", "graph")
+
+    def __init__(
+        self,
+        sigma: tuple[int, ...],
+        verts: tuple[tuple[int, ...], ...],
+        graph: Digraph,
+    ):
+        set_slot(self, "sigma", sigma)
+        set_slot(self, "verts", verts)
+        set_slot(self, "graph", graph)
 
     def vertex_id(self, t) -> int:
         vid = 0
@@ -187,8 +194,7 @@ def level_edge_count(sigma, k: int) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class DensityReport:
+class DensityReport(Record):
     """Which tree tuples the selector hits within a prefix depth.
 
     witnessed pairs (s, l) passed the check s below the value at prefix
@@ -197,9 +203,17 @@ class DensityReport:
     selector and exist to catch broken custom selectors.
     """
 
-    witnessed: tuple[tuple[tuple[int, ...], int], ...]
-    unresolved: tuple[tuple[tuple[int, ...], int], ...]
-    violations: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = _fields = ("witnessed", "unresolved", "violations")
+
+    def __init__(
+        self,
+        witnessed: tuple[tuple[tuple[int, ...], int], ...],
+        unresolved: tuple[tuple[tuple[int, ...], int], ...],
+        violations: tuple[tuple[tuple[int, ...], int], ...],
+    ):
+        set_slot(self, "witnessed", witnessed)
+        set_slot(self, "unresolved", unresolved)
+        set_slot(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

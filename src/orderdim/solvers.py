@@ -10,10 +10,10 @@ one raises LimitExceeded rather than guessing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .digraphs import Digraph, _strong_components
 from .errors import LimitExceeded, NotAGraph, TooLarge
+from .records import Record, set_slot
 from .reduction import (
     AcyclicCover,
     ExtensionFamily,
@@ -39,16 +39,20 @@ def _check_budget(budget) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class DicrResult:
-    k: int
-    witness: AcyclicCover
+class DicrResult(Record):
+    __slots__ = _fields = ("k", "witness")
+
+    def __init__(self, k: int, witness: AcyclicCover):
+        set_slot(self, "k", k)
+        set_slot(self, "witness", witness)
 
 
-@dataclass(frozen=True, slots=True)
-class DimResult:
-    d: int
-    witness: ExtensionFamily
+class DimResult(Record):
+    __slots__ = _fields = ("d", "witness")
+
+    def __init__(self, d: int, witness: ExtensionFamily):
+        set_slot(self, "d", d)
+        set_slot(self, "witness", witness)
 
 
 def _mutual_rows(rows, cols, verts) -> dict[int, int]:

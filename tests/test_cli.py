@@ -260,6 +260,36 @@ def test_negative_gen_size_is_usage_error(capsys):
     assert code == 2 and out == "" and "at least 0" in err
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "-0.5", "2"])
+def test_gen_probability_outside_the_unit_interval_is_usage_error(capsys, p):
+    code, out, err = invoke(capsys, "gen", "poset", f"--p={p}")
+    assert code == 2 and out == "" and "--p must be a number in [0, 1]" in err
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_gen_probability_at_the_interval_ends(capsys, p):
+    code, out, _ = invoke(capsys, "gen", "digraph", "--n", "3", "--p", p)
+    assert code == 0
+    edges = json.loads(out)["edges"]
+    assert len(edges) == (0 if p == "0" else 6)
+
+
+def test_negative_enumerate_size_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "enumerate", "--n", "-1")
+    assert code == 2 and out == "" and "at least 0" in err
+
+
+@pytest.mark.parametrize("kind, n", [("cycle", "1"), ("crown", "0")])
+def test_gen_below_a_kinds_least_size_is_usage_error(capsys, kind, n):
+    code, out, err = invoke(capsys, "gen", kind, "--n", n)
+    assert code == 2 and out == "" and "property violated" not in err
+
+
+def test_gen_size_guard_exits_three(capsys):
+    code, out, err = invoke(capsys, "gen", "boolean", "--n", "30")
+    assert code == 3 and out == "" and "budget exceeded" in err
+
+
 def test_bool_declared_size_is_usage_error(capsys, tmp_path):
     # bool is an int in Python, so true would otherwise read as n = 1
     flag = write(tmp_path, "flag.json", {"kind": "digraph", "n": True, "edges": []})
@@ -412,6 +442,20 @@ def test_closed_stdout_pipe_exits_two():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "pipe" in err
+
+
+def test_cold_imports_skip_dataclasses_and_campaigns():
+    # a cold process pays for every module it imports; only `verify`
+    # needs the campaigns, and no record type needs dataclasses
+    for code in (
+        "import orderdim.cli, sys; "
+        "assert 'dataclasses' not in sys.modules; "
+        "assert 'orderdim.campaigns' not in sys.modules",
+        "import orderdim, sys; assert 'dataclasses' not in sys.modules",
+    ):
+        proc = child("-c", code, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err.decode()
 
 
 def test_import_does_not_load_numpy():
