@@ -60,17 +60,20 @@ def test_registry_and_unknown_names():
 
 
 def corrupt(payload, path, value):
+    """A copy of payload with the witness entry at path set to value, or
+    to value(old entry) when value is callable."""
     doc = copy.deepcopy(payload)
     target = doc["witness"]
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    old = target[path[-1]]
+    target[path[-1]] = value(old) if callable(value) else value
     return doc
 
 
 def test_checkers_reject_corrupted_witnesses():
-    # (campaign, size, values the edited certificate's witness holds,
-    # edits); each edit is made to the first such certificate
+    # (campaign, size, values the edited certificate's claim and witness
+    # hold, edits); each edit is made to the first such certificate
     cases = [
         ("odim-eq-dicr", {"n": 3}, {}, [(["d_via_dicr"], 9)]),
         ("dim-landmarks", {}, {}, [(["d"], 7), (["expected"], 7)]),
@@ -86,6 +89,21 @@ def test_checkers_reject_corrupted_witnesses():
         ("dicr-landmarks", {}, {}, [(["name"], "biclique-3")]),
         # the round trip's way back is checked too
         ("roundtrip", {"n": 3}, {}, [(["back_cover"], {"classes": [[0]]})]),
+        ("dim-agreement", {"n": 4}, {}, [(["d_oracle"], 9)]),
+        (
+            "cyclefree-extends",
+            {"n": 5},
+            {"outcome": "extension"},
+            [(["extension"], lambda pairs: pairs[1:])],
+        ),
+        ("g0", {"n": 2}, {}, [(["canonical_cycles"], lambda c: c + 1)]),
+        ("minimal-hom", {}, {}, [(["minimal_exists"], True)]),
+        (
+            "minimal-hom",
+            {},
+            {"claim": "minimal_chain"},
+            [(["map_gh"], lambda m: m[1:] + m[:1])],
+        ),
     ]
     for name, kw, holds, edits in cases:
         base = next(
@@ -94,7 +112,8 @@ def test_checkers_reject_corrupted_witnesses():
                 json.loads(dumps(c.to_payload()))
                 for c in run_campaign(name, seed=3, **kw)
             )
-            if holds.items() <= doc["witness"].items()
+            if holds.items()
+            <= {**doc["witness"], "claim": doc["claim"]}.items()
         )
         for path, value in edits:
             assert recheck_certificate(corrupt(base, path, value)) is False, (
