@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .digraphs import HomWitness, find_homomorphism, verify_homomorphism
+from .digraphs import find_homomorphism, verify_homomorphism
 from .errors import (
     BranchTooLarge,
     CycleInX,
@@ -104,16 +104,10 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-def _load_order(path: str):
+def _load(path: str, from_payload):
+    """from_payload of the JSON at path; bad input is a usage error."""
     try:
-        return order_from_payload(parse_json(_read(path)))
-    except OrderdimError as exc:
-        raise UsageError(f"{path}: {exc}")
-
-
-def _load_digraph(path: str):
-    try:
-        return digraph_from_payload(parse_json(_read(path)))
+        return from_payload(parse_json(_read(path)))
     except OrderdimError as exc:
         raise UsageError(f"{path}: {exc}")
 
@@ -138,7 +132,7 @@ def _emit(args, out, payload: dict, text: str) -> None:
 
 
 def _cmd_dim(args, out) -> int:
-    base = _load_order(args.order)
+    base = _load(args.order, order_from_payload)
     res = order_dimension(base, _resolve_budget(args))
     _emit(
         args,
@@ -150,7 +144,7 @@ def _cmd_dim(args, out) -> int:
 
 
 def _cmd_dicr(args, out) -> int:
-    g = _load_digraph(args.digraph)
+    g = _load(args.digraph, digraph_from_payload)
     res = dichromatic_number(g, _resolve_budget(args))
     _emit(
         args,
@@ -162,7 +156,7 @@ def _cmd_dicr(args, out) -> int:
 
 
 def _cmd_chrom(args, out) -> int:
-    g = _load_digraph(args.digraph)
+    g = _load(args.digraph, digraph_from_payload)
     k, colors = chromatic_number(g, _resolve_budget(args))
     _emit(
         args,
@@ -175,7 +169,7 @@ def _cmd_chrom(args, out) -> int:
 
 def _cmd_reduce(args, out) -> int:
     if args.what in ("ap", "bp"):
-        base = _load_order(args.source)
+        base = _load(args.source, order_from_payload)
         d, pvm = pair_digraph(base, incomparable_only=args.what == "bp")
         _emit(
             args,
@@ -187,7 +181,7 @@ def _cmd_reduce(args, out) -> int:
             f"vertices={d.n} edges={d.edge_count()}",
         )
         return 0
-    g = _load_digraph(args.source)
+    g = _load(args.source, digraph_from_payload)
     q, emb = two_level_order(g)
     _emit(
         args,
@@ -199,7 +193,7 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_convert(args, out) -> int:
-    base = _load_order(args.order)
+    base = _load(args.order, order_from_payload)
     doc = parse_json(_read(args.witness))
     if args.direction == "cover-to-ext":
         cover = cover_from_payload(doc)
@@ -281,8 +275,8 @@ def _cmd_g0(args, out) -> int:
 
 
 def _cmd_hom(args, out) -> int:
-    g = _load_digraph(args.g)
-    h = _load_digraph(args.h)
+    g = _load(args.g, digraph_from_payload)
+    h = _load(args.h, digraph_from_payload)
     if args.what == "find":
         w = find_homomorphism(
             g, h, minimal=args.minimal, budget=_resolve_budget(args)
@@ -304,10 +298,7 @@ def _cmd_hom(args, out) -> int:
         return 0
     if args.witness is None:
         raise UsageError("hom check needs a witness file")
-    try:
-        w = homwitness_from_payload(parse_json(_read(args.witness)))
-    except OrderdimError as exc:
-        raise UsageError(f"{args.witness}: {exc}")
+    w = _load(args.witness, homwitness_from_payload)
     res = verify_homomorphism(g, h, w)
     payload = {
         "ok": res.ok,
@@ -333,9 +324,14 @@ GENERATORS = {
     "biclique": (lambda n, p, seed: bidirected_clique(n), digraph_payload),
 }
 
+# The instances of all kinds but antichain, cycle and boolean (which
+# guards itself) grow with n squared: at n = 2000 one takes seconds and
+# a few hundred MB. gen refuses n above this for them.
+MAX_GEN_N = 1000
+
 
 def _cmd_gen(args, out) -> int:
-    n = 4 if args.n is None else args.n
+    n = args.n
     if n < 0:
         raise UsageError(f"--n must be at least 0, got {n}")
     if n > MAX_INPUT_N:
@@ -343,6 +339,10 @@ def _cmd_gen(args, out) -> int:
     # nan compares false with everything, so it fails this test too
     if not 0 <= args.p <= 1:
         raise UsageError(f"--p must be a number in [0, 1], got {args.p}")
+    if n > MAX_GEN_N and args.kind not in ("antichain", "cycle", "boolean"):
+        raise TooLarge(
+            f"gen {args.kind} is guarded to n <= {MAX_GEN_N}, got {n}"
+        )
     make, payload = GENERATORS[args.kind]
     try:
         instance = make(n, args.p, args.seed)
@@ -354,11 +354,10 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    n = 4 if args.n is None else args.n
-    if n < 0:
-        raise UsageError(f"--n must be at least 0, got {n}")
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     count = 0
-    for q in enumerate_posets(n):
+    for q in enumerate_posets(args.n):
         count += 1
         if args.format == "json":
             out.write(dumps(order_payload(q)))
@@ -460,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", help="instance generators")
     p.add_argument("kind", choices=tuple(GENERATORS))
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=4)
     p.add_argument("--p", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_gen)
 
     p = subs.add_parser("enumerate", help="all labeled posets up to a size")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=4)
     _add_common(p, budget=False)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -510,10 +509,7 @@ def run(argv) -> int:
         os.close(devnull)
         print("error: output pipe closed", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
+    except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GUARD_ERRORS as exc:

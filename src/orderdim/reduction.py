@@ -97,7 +97,12 @@ def critical_pair_digraph(
     so the dichromatic number of this digraph is the dimension whenever q
     has an incomparable pair.
     """
-    same, down, up = _peel_frame(q)
+    return _critical_pair_frame(q)[:2]
+
+
+def _critical_pair_frame(q: QuasiOrder):
+    """critical_pair_digraph(q) and _peel_frame(q), which it reads."""
+    frame = same, down, up = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
     leaders = [x for x in range(q.n) if same[x] & -same[x] == 1 << x]
@@ -110,7 +115,7 @@ def critical_pair_digraph(
         and down[a] & ~down[b] == 0
         and up[b] & ~up[a] == 0
     )
-    return _pair_edges(q, pairs), pairs
+    return _pair_edges(q, pairs), pairs, frame
 
 
 def extension_pairs(
@@ -229,7 +234,11 @@ def lift_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
 def lift_pair_sets(base: QuasiOrder, pair_sets) -> tuple[QuasiOrder, ...]:
     """lift_pairs of each pair set in turn, all peeled off one transpose
     of the base (its classes and below-sets are read once)."""
-    frame = _peel_frame(base)
+    return _lift_pair_sets(base, _peel_frame(base), pair_sets)
+
+
+def _lift_pair_sets(base: QuasiOrder, frame, pair_sets):
+    """lift_pair_sets(base, pair_sets) peeled off frame, _peel_frame(base)."""
     exts = []
     for pairs in pair_sets:
         ext = _peel(base, frame, _pair_rows(base, pairs))

@@ -9,25 +9,17 @@ one raises LimitExceeded rather than guessing.
 
 from __future__ import annotations
 
-import itertools
-
 from .digraphs import Digraph, _strong_components
-from .errors import LimitExceeded, NotAGraph, TooLarge
+from .errors import LimitExceeded, NotAGraph
 from .records import Record, set_slot
 from .reduction import (
     AcyclicCover,
     ExtensionFamily,
+    _critical_pair_frame,
+    _lift_pair_sets,
     check_cover,
-    critical_pair_digraph,
-    lift_pair_sets,
 )
-from .relations import (
-    QuasiOrder,
-    bits_of,
-    linear_extension,
-    quotient,
-    transpose_rows,
-)
+from .relations import QuasiOrder, bits_of, linear_extension, transpose_rows
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
@@ -263,46 +255,13 @@ def order_dimension(
     answers 1 with its own linear extension.
     """
     _check_budget(budget)
-    cp, pairs = critical_pair_digraph(q)
+    cp, pairs, frame = _critical_pair_frame(q)
     if cp.n == 0:
         if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
     res = dichromatic_number(cp, budget)
-    exts = lift_pair_sets(
-        q, [[pairs[v] for v in cls] for cls in res.witness.classes]
+    exts = _lift_pair_sets(
+        q, frame, [[pairs[v] for v in cls] for cls in res.witness.classes]
     )
     return DimResult(res.k, ExtensionFamily(q, exts))
-
-
-def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:
-    """Least count of total class orders intersecting to the quotient order.
-
-    Independent of the solvers above: enumerates permutations outright and
-    intersects literal pair sets. None when max_d is not enough. Guarded to
-    ten classes; meant for landmarks and cross-checks, not production.
-    """
-    qt = quotient(q)
-    m = qt.size
-    if m > 10:
-        raise TooLarge(f"{m} classes exceeds the oracle guard of 10")
-    if m <= 1:
-        return 0
-    lt_pairs = {
-        (a, b) for a in range(m) for b in bits_of(qt.lt_rows[a])
-    }
-    linears = []
-    for perm in itertools.permutations(range(m)):
-        pairs = frozenset(
-            (perm[i], perm[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-        if lt_pairs <= pairs:
-            linears.append(pairs)
-    for dd in range(1, max_d + 1):
-        for combo in itertools.combinations(linears, dd):
-            inter = frozenset.intersection(*combo)
-            if inter == lt_pairs:
-                return dd
-    return None

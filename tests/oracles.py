@@ -129,36 +129,6 @@ def brute_minimal_cycle_sets(d: Digraph) -> set[tuple[int, ...]]:
     return out
 
 
-def brute_dimension(q: QuasiOrder, upto: int = 4) -> int | None:
-    """Least m with m linear class orders intersecting to the order."""
-    classes = _classes(q)
-    m = len(classes)
-    if m <= 1:
-        return 0
-    below = {
-        (a, b)
-        for a in range(m)
-        for b in range(m)
-        if a != b and q.leq(classes[a][0], classes[b][0])
-    }
-    linears = []
-    for perm in itertools.permutations(range(m)):
-        pos = {c: i for i, c in enumerate(perm)}
-        if all(pos[a] < pos[b] for a, b in below):
-            linears.append({
-                (a, b)
-                for a in range(m)
-                for b in range(m)
-                if a != b and pos[a] < pos[b]
-            })
-    for size in range(1, upto + 1):
-        for combo in itertools.combinations(linears, size):
-            meet = set.intersection(*combo)
-            if meet == below:
-                return size
-    return None
-
-
 def _classes(q: QuasiOrder) -> list[list[int]]:
     seen: list[list[int]] = []
     for x in range(q.n):

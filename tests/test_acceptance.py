@@ -18,10 +18,11 @@ from orderdim import (
     order_dimension,
     pair_digraph,
     quotient,
+    realizer_oracle,
 )
 from orderdim.campaigns import run_campaign
 
-from .oracles import brute_dimension, brute_force_poset_count
+from .oracles import brute_force_poset_count
 
 
 def report(tag: str, budget_s: float, fn):
@@ -51,7 +52,7 @@ def test_ac01_dimension_equals_pair_digraph_dicr(posets_by_size):
             for q in posets:
                 via = order_dimension(q)
                 assert all(e.is_total() for e in via.witness.exts)
-                brute = brute_dimension(q)
+                brute = realizer_oracle(q, 4)
                 ap, _ = pair_digraph(q)
                 k = dichromatic_number(ap).k
                 if quotient(q).size >= 2:

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
+import orderdim.check
 from orderdim import OrderdimError, antichain_order
-from orderdim.campaigns import (
-    CAMPAIGNS,
-    CHECKERS,
-    recheck_certificate,
-    run_campaign,
-)
+from orderdim.campaigns import CAMPAIGNS, run_campaign
+from orderdim.check import CHECKERS, recheck_certificate
 from orderdim.serialize import dumps, order_payload
 
 SMALL = {
@@ -260,3 +259,23 @@ def test_checkers_cover_every_claim():
         for cert in run_campaign(name, seed=3, **kw):
             claims.add(cert.claim)
     assert claims == set(CHECKERS)
+
+
+def test_checker_module_imports_no_search_code():
+    # a checker that shared the solvers' search could pass their bugs
+    tree = ast.parse(Path(orderdim.check.__file__).read_text("utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add((node.module or "").rpartition(".")[2])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.rpartition(".")[2] for a in node.names)
+    search = {
+        "solvers",
+        "campaigns",
+        "find_homomorphism",
+        "scc_decompose",
+        "_strong_components",
+    }
+    assert not (modules | names) & search

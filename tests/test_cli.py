@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,17 @@ def test_gen_below_a_kinds_least_size_is_usage_error(capsys, kind, n):
 def test_gen_size_guard_exits_three(capsys):
     code, out, err = invoke(capsys, "gen", "boolean", "--n", "30")
     assert code == 3 and out == "" and "budget exceeded" in err
+
+
+def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
+    from orderdim.cli import MAX_GEN_N
+
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "gen", "chain", "--n", "16384")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == "" and "budget exceeded" in err
+    code, out, _ = invoke(capsys, "gen", "chain", "--n", str(MAX_GEN_N))
+    assert code == 0 and json.loads(out)["n"] == MAX_GEN_N
 
 
 def test_bool_declared_size_is_usage_error(capsys, tmp_path):

@@ -32,12 +32,7 @@ from orderdim import (
 from orderdim.relations import transpose_rows
 from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
 
-from .oracles import (
-    brute_chrom,
-    brute_dicr,
-    brute_dimension,
-    subset_is_acyclic,
-)
+from .oracles import brute_chrom, brute_dicr, subset_is_acyclic
 
 
 def digraphs(max_n: int = 5):
@@ -180,7 +175,7 @@ def test_odd_mutual_cycle_skips_the_two_class_search():
 def test_odd_alternating_two_cycle_iff_dimension_at_least_three(n, seed):
     base = random_quasi(n, 0.3, seed)
     cp, _ = critical_pair_digraph(base)
-    assert odd_mutual_cycle(cp) == (brute_dimension(base) >= 3)
+    assert odd_mutual_cycle(cp) == (realizer_oracle(base, 4) >= 3)
 
 
 def test_dicr_budget_raises():
@@ -243,7 +238,7 @@ def test_dimension_agreement_with_pair_digraph_route(seed):
     if quotient(base).size > 1:
         ap, _ = pair_digraph(base)
         assert via.d == dichromatic_number(ap).k
-    brute = brute_dimension(base)
+    brute = realizer_oracle(base, 4)
     if brute is not None:
         assert via.d == brute
 
@@ -254,7 +249,7 @@ def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
     base = random_quasi(n, 0.3, seed)
     assume(1 < quotient(base).size < n)
     res = order_dimension(base)
-    assert res.d == brute_dimension(base)
+    assert res.d == realizer_oracle(base, 4)
     assert all(ext.is_total() for ext in res.witness.exts)
 
 
