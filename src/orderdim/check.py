@@ -3,12 +3,14 @@ serialized instance and witness alone.
 
 Nothing here imports `solvers` or `campaigns`, so no solver grades its
 own answer; the dimension a certificate states is recomputed by
-`realizer_oracle`, a scan over permutations.
+`realizer_oracle`, a scan over the linear extensions of the quotient.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .digraphs import (
     Digraph,
@@ -35,7 +37,14 @@ from .reduction import (
     pair_digraph,
     two_level_order,
 )
-from .relations import QuasiOrder, bits_of, close_rows, extends, quotient
+from .relations import (
+    QuasiOrder,
+    bits_of,
+    close_rows,
+    extends,
+    quotient,
+    transpose_rows,
+)
 from .selectors import (
     DenseSelector,
     canonical_cycles,
@@ -52,11 +61,14 @@ from .serialize import (
 
 
 def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:
-    """Least count of total class orders intersecting to the quotient order.
+    """Least count of linear extensions of the quotient order whose
+    intersection is that order.
 
-    Independent of the solvers: enumerates permutations outright and
-    intersects literal pair sets. None when max_d is not enough. Guarded to
-    ten classes; meant for landmarks and cross-checks, not production.
+    Independent of the solvers: lists every linear extension of the class
+    order outright, each as a pair mask with bit a*m+b set when it puts
+    class a before class b, and tests each d-subset by AND-ing masks. None
+    when max_d is not enough. Guarded to ten classes; meant for landmarks
+    and cross-checks, not production.
     """
     qt = quotient(q)
     m = qt.size
@@ -64,22 +76,26 @@ def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:
         raise TooLarge(f"{m} classes exceeds the oracle guard of 10")
     if m <= 1:
         return 0
-    lt_pairs = {
-        (a, b) for a in range(m) for b in bits_of(qt.lt_rows[a])
-    }
+    lt = 0
+    for a, row in enumerate(qt.lt_rows):
+        lt |= row << (a * m)
+    below = transpose_rows(qt.lt_rows, m)
     linears = []
-    for perm in itertools.permutations(range(m)):
-        pairs = frozenset(
-            (perm[i], perm[j])
-            for i in range(m)
-            for j in range(i + 1, m)
-        )
-        if lt_pairs <= pairs:
+
+    def place(left: int, pairs: int) -> None:
+        # each class placed next goes before every class still left
+        if not left:
             linears.append(pairs)
+            return
+        for x in bits_of(left):
+            if not below[x] & left:
+                rest = left & ~(1 << x)
+                place(rest, pairs | rest << (x * m))
+
+    place((1 << m) - 1, 0)
     for dd in range(1, max_d + 1):
         for combo in itertools.combinations(linears, dd):
-            inter = frozenset.intersection(*combo)
-            if inter == lt_pairs:
+            if functools.reduce(operator.and_, combo) == lt:
                 return dd
     return None
 

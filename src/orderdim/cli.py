@@ -194,13 +194,19 @@ def _cmd_reduce(args, out) -> int:
 
 def _cmd_convert(args, out) -> int:
     base = _load(args.order, order_from_payload)
-    doc = parse_json(_read(args.witness))
+    doc = _load(args.witness, lambda doc: doc)
+    try:
+        if args.direction == "cover-to-ext":
+            fam = cover_to_extensions(base, cover_from_payload(doc))
+        else:
+            fam = family_from_payload(doc, base)
+    except (FormatError, IndexOutOfRange) as exc:
+        # a malformed witness, or one naming an id outside the base or its
+        # pair digraph, is bad input rather than a violated property
+        raise UsageError(f"{args.witness}: {exc}")
     if args.direction == "cover-to-ext":
-        cover = cover_from_payload(doc)
-        fam = cover_to_extensions(base, cover)
         _emit(args, out, family_payload(fam), f"extensions={fam.size}")
         return 0
-    fam = family_from_payload(doc, base)
     cover = extensions_to_cover(fam)
     _emit(
         args,

@@ -134,6 +134,8 @@ def cover_from_payload(doc: Any) -> AcyclicCover:
 def family_from_payload(doc: Any, base: QuasiOrder) -> ExtensionFamily:
     if not isinstance(doc, dict) or "extensions" not in doc:
         raise FormatError('expected an object with "extensions"')
+    if not isinstance(doc["extensions"], list):
+        raise FormatError('"extensions" must be a list')
     exts = []
     for raw in doc["extensions"]:
         pairs = _int_pairs(raw, "extension")

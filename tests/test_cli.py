@@ -370,6 +370,36 @@ def test_reduce_and_convert_pipeline(capsys, tmp_path):
     assert code == 1 and "uncovered" in err
 
 
+def test_convert_bad_witness_is_usage_error(capsys, tmp_path):
+    chain = write(
+        tmp_path,
+        "chain.json",
+        {"kind": "quasi", "n": 3, "pairs": [[0, 1], [1, 2]], "closure": True},
+    )
+    junk = tmp_path / "junk.json"
+    junk.write_text("not json")
+    for direction in ("cover-to-ext", "ext-to-cover"):
+        code, out, err = invoke(capsys, "convert", direction, chain, str(junk))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {junk}: not valid JSON")
+    scalar = write(tmp_path, "scalar.json", {"extensions": 5})
+    code, out, err = invoke(capsys, "convert", "ext-to-cover", chain, scalar)
+    assert code == 2 and out == ""
+    assert err == f'error: {scalar}: "extensions" must be a list\n'
+
+
+def test_convert_cover_vertex_outside_pair_digraph_exits_2(capsys, tmp_path):
+    chain = write(
+        tmp_path,
+        "chain.json",
+        {"kind": "quasi", "n": 3, "pairs": [[0, 1], [1, 2]], "closure": True},
+    )
+    cover = write(tmp_path, "cover.json", {"classes": [[0, 9]]})
+    code, out, err = invoke(capsys, "convert", "cover-to-ext", chain, cover)
+    assert code == 2 and out == ""
+    assert err == f"error: {cover}: vertex 9 outside 0..2\n"
+
+
 def test_reduce_pg_embedding(capsys, c3):
     code, out, _ = invoke(capsys, "reduce", "pg", c3)
     assert code == 0

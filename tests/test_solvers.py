@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from orderdim import (
     dichromatic_number,
     digraph,
     directed_cycle,
+    enumerate_posets,
     order_dimension,
     pair_digraph,
     quasi_order,
@@ -29,7 +32,8 @@ from orderdim import (
     random_symmetric,
     realizer_oracle,
 )
-from orderdim.relations import transpose_rows
+from orderdim.relations import bits_of, transpose_rows
+from orderdim.rng import SplitMix64
 from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
 
 from .oracles import brute_chrom, brute_dicr, subset_is_acyclic
@@ -270,6 +274,48 @@ def test_realizer_oracle_matches_and_guards():
     assert realizer_oracle(quasi_order(1, [], close=True), 1) == 0
     with pytest.raises(TooLarge):
         realizer_oracle(antichain_order(11), 2)
+
+
+def _least_realizer_by_permutations(q, max_d):
+    """The definition, scanned outright: the least count of class
+    permutations, each containing the strict quotient order, whose pair sets
+    intersect to it; None when max_d is not enough."""
+    qt = quotient(q)
+    m = qt.size
+    if m <= 1:
+        return 0
+    lt = {(a, b) for a in range(m) for b in bits_of(qt.lt_rows[a])}
+    linears = []
+    for perm in itertools.permutations(range(m)):
+        pairs = frozenset(itertools.combinations(perm, 2))
+        if lt <= pairs:
+            linears.append(pairs)
+    for d in range(1, max_d + 1):
+        for combo in itertools.combinations(linears, d):
+            if frozenset.intersection(*combo) == lt:
+                return d
+    return None
+
+
+def test_realizer_oracle_matches_its_definition():
+    rng = SplitMix64(13)
+    five = [q for q in enumerate_posets(5) if rng.below(20) == 0]
+    merged = [
+        q
+        for n in (6, 7, 8)
+        for p in (0.1, 0.15, 0.25)
+        for s in range(20)
+        for q in [random_quasi(n, p, s)]
+        if quotient(q).size < n and quotient(q).size <= 7
+    ]
+    assert len(five) > 150 and len(merged) > 80
+    small = [q for n in range(5) for q in enumerate_posets(n)]
+    for q in small + five + merged + [crown_order(3)]:
+        d = _least_realizer_by_permutations(q, 4)
+        assert realizer_oracle(q, 4) == d
+        assert realizer_oracle(q, d) == d
+        if d >= 1:
+            assert realizer_oracle(q, d - 1) is None
 
 
 def test_dimension_witness_family_is_valid():
