@@ -92,37 +92,50 @@ def is_acyclic(d: Digraph, subset=None):
     are explored in ascending order, so the witness is reproducible.
     """
     if subset is None:
-        verts = list(range(d.n))
         mask = (1 << d.n) - 1
     else:
-        verts = sorted(set(subset))
-        for v in verts:
+        mask = 0
+        for v in sorted(set(subset)):
             if not (0 <= v < d.n):
                 raise IndexOutOfRange(f"vertex {v} outside 0..{d.n - 1}")
-        mask = sum(1 << v for v in verts)
-    color: dict[int, int] = {}
-    for start in verts:
-        if start in color:
-            continue
-        color[start] = 1
+            mask |= 1 << v
+    cycle = _cycle_in(d.rows, mask)
+    return True if cycle is None else cycle
+
+
+def _cycle_in(rows, mask: int) -> Cycle | None:
+    """Depth-first search inside mask, starts and neighbours ascending.
+
+    grey holds the vertices on the current path and done those finished.
+    Each path vertex keeps a mask of the neighbours it has not stepped to
+    yet; its next step is the least of them that is not done. A grey one
+    closes the returned cycle, any other is stepped to.
+    """
+    done = 0
+    left = mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        grey = 1 << start
         path = [start]
-        stack = [iter(bits_of(d.rows[start] & mask))]
-        while stack:
-            advanced = False
-            for w in stack[-1]:
-                cw = color.get(w)
-                if cw == 1:
+        pending = [rows[start] & mask]
+        while pending:
+            nxt = pending[-1] & ~done
+            if nxt:
+                low = nxt & -nxt
+                w = low.bit_length() - 1
+                if grey & low:
                     return Cycle(tuple(path[path.index(w):]))
-                if cw is None:
-                    color[w] = 1
-                    path.append(w)
-                    stack.append(iter(bits_of(d.rows[w] & mask)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[path.pop()] = 2
-                stack.pop()
-    return True
+                pending[-1] = nxt ^ low
+                grey |= low
+                path.append(w)
+                pending.append(rows[w] & mask)
+            else:
+                pending.pop()
+                low = 1 << path.pop()
+                grey ^= low
+                done |= low
+        left &= ~done
+    return None
 
 
 def is_minimal_cycle(d: Digraph, verts) -> bool:

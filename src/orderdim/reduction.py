@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .digraphs import Digraph, is_acyclic
+from .digraphs import Digraph, _cycle_in
 from .errors import (
     BadPair,
     CycleInX,
@@ -60,27 +60,51 @@ def pair_digraph(
     q: QuasiOrder, incomparable_only: bool = False
 ) -> tuple[Digraph, PairVertexMap]:
     """Digraph on undominated pairs of q; optionally only incomparable ones."""
-    pairs = [
-        (x, y)
-        for x in range(q.n)
-        for y in range(q.n)
-        if not q.leq(y, x) and not (incomparable_only and q.leq(x, y))
-    ]
-    return _pair_edges(q, pairs), PairVertexMap(tuple(pairs))
+    full = (1 << q.n) - 1
+    pairs = []
+    for x, below in enumerate(transpose_rows(q.rows, q.n)):
+        ys = full & ~below
+        if incomparable_only:
+            ys &= ~q.rows[x]
+        pairs.extend((x, y) for y in bits_of(ys))
+    rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
+    return Digraph(len(pairs), tuple(rows)), PairVertexMap(tuple(pairs))
 
 
-def _pair_edges(q: QuasiOrder, pairs) -> Digraph:
-    """Digraph on the given pairs: (x0, y0) -> (x1, y1) iff y0 <= x1."""
-    first_mask = [0] * q.n
-    for vid, (x, _) in enumerate(pairs):
-        first_mask[x] |= 1 << vid
-    rows = []
-    for _, y in pairs:
-        row = 0
-        for x1 in bits_of(q.rows[y]):
-            row |= first_mask[x1]
-        rows.append(row)
-    return Digraph(len(pairs), tuple(rows))
+def _pair_edges(n: int, pairs, key: int, reach, hit: int) -> list[int]:
+    """Edge masks of the pair digraph on pairs, (x0, y0) -> (x1, y1) iff
+    y0 <= x1: entry v holds every pair u whose end u[hit] lies in
+    reach[pairs[v][key]].
+
+    With key 1, reach[y] = {x : y <= x} and hit 0 these are the out-rows,
+    which depend only on y; with key 0, reach[x] = {y : y <= x} and hit 1
+    the in-columns, which depend only on x. Each is built once per
+    distinct end.
+    """
+    by_end = [0] * n
+    bit = 1
+    for p in pairs:
+        by_end[p[hit]] |= bit
+        bit <<= 1
+    present = 0
+    for e, m in enumerate(by_end):
+        if m:
+            present |= 1 << e
+    memo = [-1] * n
+    out = []
+    for p in pairs:
+        end = p[key]
+        m = memo[end]
+        if m < 0:
+            m = 0
+            r = reach[end] & present
+            while r:
+                low = r & -r
+                m |= by_end[low.bit_length() - 1]
+                r ^= low
+            memo[end] = m
+        out.append(m)
+    return out
 
 
 def critical_pair_digraph(
@@ -101,21 +125,25 @@ def critical_pair_digraph(
 
 
 def _critical_pair_frame(q: QuasiOrder):
-    """critical_pair_digraph(q) and _peel_frame(q), which it reads."""
+    """critical_pair_digraph(q), _peel_frame(q), which it reads, and the
+    digraph's in-columns, so the search need not transpose it."""
     frame = same, down, up = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
-    leaders = [x for x in range(q.n) if same[x] & -same[x] == 1 << x]
-    pairs = tuple(
-        (b, a)
-        for b in leaders
-        for a in leaders
-        if a != b
-        and not ((up[a] | down[a]) >> b) & 1
-        and down[a] & ~down[b] == 0
-        and up[b] & ~up[a] == 0
-    )
-    return _pair_edges(q, pairs), pairs, frame
+    leaders = 0
+    for x in range(q.n):
+        if same[x] & -same[x] == 1 << x:
+            leaders |= 1 << x
+    pairs = []
+    for b in bits_of(leaders):
+        db, ub = down[b], up[b]
+        for a in bits_of(leaders & ~(db | ub | same[b])):
+            if down[a] & ~db == 0 and ub & ~up[a] == 0:
+                pairs.append((b, a))
+    pairs = tuple(pairs)
+    rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
+    cols = _pair_edges(q.n, pairs, 0, [s | d for s, d in zip(same, down)], 1)
+    return Digraph(len(pairs), tuple(rows)), pairs, frame, cols
 
 
 def extension_pairs(
@@ -262,34 +290,40 @@ class AcyclicCover(Record):
 
 def check_cover(d: Digraph, cover: AcyclicCover) -> None:
     """Raise InvalidCover unless classes cover d and are each acyclic."""
-    seen = set()
+    seen = 0
     for c in cover.classes:
+        mask = 0
         for v in c:
             if not (0 <= v < d.n):
                 raise IndexOutOfRange(f"vertex {v} outside 0..{d.n - 1}")
-        seen.update(c)
-        witness = is_acyclic(d, c)
-        if witness is not True:
+            mask |= 1 << v
+        seen |= mask
+        witness = _cycle_in(d.rows, mask)
+        if witness is not None:
             raise InvalidCover(f"class {c} holds cycle {witness.verts}")
-    if seen != set(range(d.n)):
-        missing = sorted(set(range(d.n)) - seen)
-        raise InvalidCover(f"vertices {missing} uncovered")
+    missing = ((1 << d.n) - 1) & ~seen
+    if missing:
+        raise InvalidCover(f"vertices {list(bits_of(missing))} uncovered")
 
 
 def undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
     """First ordered pair no extension settles: neither base(x,y) nor any
     ext placing y below x. None when the family decides everything.
 
-    Transposing distributes over OR, so the members' rows are OR-ed first
-    and transposed once."""
-    union = [0] * base.n
+    The members' rows are OR-ed, and the complement of that union is
+    transposed once: unplaced[x] holds each y that no member places below
+    x. For a complete family that is only the base's strict pairs, fewer
+    than the union holds."""
+    n = base.n
+    union = [0] * n
     for e in exts:
-        for x, row in enumerate(e.rows):
-            union[x] |= row
-    cols = transpose_rows(union, base.n)
-    full = (1 << base.n) - 1
-    for x, (row, col) in enumerate(zip(base.rows, cols)):
-        open_bits = full & ~(row | col)
+        if e.n != n:
+            raise SizeMismatch(f"ground sets differ: {n} vs {e.n}")
+        union = [u | r for u, r in zip(union, e.rows)]
+    full = (1 << n) - 1
+    unplaced = transpose_rows([full & ~u for u in union], n)
+    for x, (row, free) in enumerate(zip(base.rows, unplaced)):
+        open_bits = free & ~row
         if open_bits:
             return (x, (open_bits & -open_bits).bit_length() - 1)
     return None

@@ -201,9 +201,13 @@ def dichromatic_number(
     cycle and join the first class.
     """
     _check_budget(budget)
+    return _dichromatic(d, transpose_rows(d.rows, d.n), budget)
+
+
+def _dichromatic(d: Digraph, cols, budget: int) -> DicrResult:
+    """dichromatic_number(d, budget), given the in-columns of d."""
     if d.n == 0:
         return DicrResult(0, AcyclicCover(()))
-    cols = transpose_rows(d.rows, d.n)
     counter = [0]
     k_total = 1
     solved: list[list[list[int]]] = []
@@ -255,12 +259,12 @@ def order_dimension(
     answers 1 with its own linear extension.
     """
     _check_budget(budget)
-    cp, pairs, frame = _critical_pair_frame(q)
+    cp, pairs, frame, cols = _critical_pair_frame(q)
     if cp.n == 0:
         if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
-    res = dichromatic_number(cp, budget)
+    res = _dichromatic(cp, cols, budget)
     exts = _lift_pair_sets(
         q, frame, [[pairs[v] for v in cls] for cls in res.witness.classes]
     )

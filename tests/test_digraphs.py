@@ -12,6 +12,7 @@ from orderdim import (
     Cycle,
     Digraph,
     HomWitness,
+    IndexOutOfRange,
     LimitExceeded,
     NotADigraph,
     SizeMismatch,
@@ -24,13 +25,21 @@ from orderdim import (
     is_minimal_cycle,
     minimal_cycles,
     pair_digraph,
+    random_digraph,
     random_order,
     scc_decompose,
     verify_cycle,
     verify_homomorphism,
 )
 
-from .oracles import brute_minimal_cycle_sets, brute_scc, subset_is_acyclic
+from orderdim.rng import SplitMix64
+
+from .oracles import (
+    brute_minimal_cycle_sets,
+    brute_scc,
+    colour_dfs_is_acyclic,
+    subset_is_acyclic,
+)
 
 
 def digraphs(max_n: int = 6):
@@ -72,6 +81,31 @@ def test_is_acyclic_returns_witness_cycle():
     assert w is not True
     assert verify_cycle(d, w)
     assert is_acyclic(d, [0, 1, 3]) is True
+
+
+def test_is_acyclic_returns_the_colour_dfs_witness():
+    rng = SplitMix64(14)
+    cyclic = acyclic = 0
+    for n in range(31):
+        for p in (0.03, 0.08, 0.15, 0.3):
+            d = random_digraph(n, p, rng.next_u64())
+            subsets = [None] + [
+                [v for v in range(n) if rng.below(3)] for _ in range(3)
+            ]
+            for subset in subsets:
+                got = is_acyclic(d, subset)
+                want = colour_dfs_is_acyclic(d, subset)
+                assert got == want
+                if got is True:
+                    acyclic += 1
+                else:
+                    cyclic += 1
+                    assert verify_cycle(d, got)
+        if n:
+            for bad in ([0, n], [-1]):
+                with pytest.raises(IndexOutOfRange):
+                    is_acyclic(d, bad)
+    assert cyclic >= 100 and acyclic >= 100
 
 
 @given(digraphs())

@@ -16,7 +16,9 @@ from orderdim import (
     InvalidCover,
     NotApplicable,
     NotExtension,
+    SizeMismatch,
     antichain_order,
+    boolean_order,
     chain_order,
     check_cover,
     closure_path,
@@ -24,6 +26,7 @@ from orderdim import (
     critical_pair_digraph,
     crown_order,
     dichromatic_number,
+    enumerate_posets,
     extend_by_pairs,
     extend_by_separator,
     extends,
@@ -41,7 +44,8 @@ from orderdim import (
     two_level_order,
     undecided_pair,
 )
-from orderdim.relations import StrictOrder
+from orderdim.reduction import _critical_pair_frame
+from orderdim.relations import StrictOrder, transpose_rows
 from orderdim.rng import SplitMix64
 
 from .oracles import critical_pairs, loop_undecided_pair
@@ -67,6 +71,44 @@ def test_pair_digraph_incomparable_restriction():
             assert bp.adj(bpm.index((x, y)), bpm.index((u, v))) == ap.adj(
                 idx[(x, y)], idx[(u, v)]
             )
+
+
+def _pair_digraph_orders():
+    """Every labelled poset on at most 4 points, seeded quasi orders with
+    merged classes, crowns and the Boolean lattice on 3 atoms."""
+    for n in range(5):
+        yield from enumerate_posets(n)
+    merged = 0
+    for seed in range(200):
+        q = random_quasi(2 + seed % 7, 0.3, seed)
+        if len(set(q.rows)) < q.n:
+            merged += 1
+            yield q
+    assert merged >= 50
+    for k in (3, 4, 5):
+        yield crown_order(k)
+    yield boolean_order(3)
+
+
+def test_pair_digraph_matches_its_definition():
+    for q in _pair_digraph_orders():
+        for only in (False, True):
+            ap, pvm = pair_digraph(q, incomparable_only=only)
+            assert list(pvm.pairs) == [
+                (x, y)
+                for x in range(q.n)
+                for y in range(q.n)
+                if not q.leq(y, x) and not (only and q.leq(x, y))
+            ]
+            for u, (_, y0) in enumerate(pvm.pairs):
+                for v, (x1, _) in enumerate(pvm.pairs):
+                    assert ap.adj(u, v) == q.leq(y0, x1)
+
+
+def test_critical_pair_frame_columns_are_the_transpose():
+    for q in _pair_digraph_orders():
+        cp, _, _, cols = _critical_pair_frame(q)
+        assert cols == transpose_rows(cp.rows, cp.n)
 
 
 def test_critical_pairs_of_a_crown_are_its_matched_pairs():
@@ -234,6 +276,16 @@ def test_family_completeness_is_enforced():
     other = quasi_order(2, [(1, 0)], close=True)
     fam = ExtensionFamily(base, (one, other))
     assert fam.size == 2
+
+
+def test_undecided_pair_rejects_members_of_another_size():
+    base = antichain_order(3)
+    bigger = chain_order(4)
+    smaller = quasi_order(2, [(0, 1)], close=True)
+    with pytest.raises(SizeMismatch):
+        undecided_pair(base, (chain_order(3), bigger))
+    with pytest.raises(SizeMismatch):
+        undecided_pair(base, (smaller,))
 
 
 def test_two_level_order_embedding_is_edge_faithful():
