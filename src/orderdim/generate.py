@@ -65,9 +65,8 @@ def crown_order(n: int) -> QuasiOrder:
 
 
 def chain_order(n: int) -> QuasiOrder:
-    return quasi_order(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)], close=False
-    )
+    """0 < 1 < ... < n-1: row i is the suffix i..n-1, built directly."""
+    return QuasiOrder(n, tuple((1 << n) - (1 << i) for i in range(n)))
 
 
 def antichain_order(n: int) -> QuasiOrder:

@@ -161,11 +161,12 @@ def extension_pairs(
 
 
 def _pair_rows(base: QuasiOrder, pairs) -> list[int]:
-    rows = [0] * base.n
+    n, leq = base.n, base.rows
+    rows = [0] * n
     for a, b in pairs:
-        if not (0 <= a < base.n and 0 <= b < base.n):
-            raise IndexOutOfRange(f"pair ({a}, {b}) outside 0..{base.n - 1}")
-        if base.leq(b, a):
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexOutOfRange(f"pair ({a}, {b}) outside 0..{n - 1}")
+        if (leq[b] >> a) & 1:
             raise BadPair(f"({a}, {b}) is already decided downward")
         rows[a] |= 1 << b
     return rows

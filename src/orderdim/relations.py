@@ -57,6 +57,43 @@ def _check_rows_shape(n: int, rows: tuple[int, ...]) -> None:
             raise IndexOutOfRange(f"row {i} relates ids outside 0..{n - 1}")
 
 
+def _intransitive(rows) -> tuple[int, int, int] | None:
+    """None when every j in rows[i] has rows[j] inside rows[i]; else the
+    least failing (i, j), with the least k of rows[j] outside rows[i].
+
+    Whether a row passes depends only on its value, so each distinct
+    value is checked once, in increasing order as ints. A row strictly
+    inside row is a smaller int, so it has already passed, and all it
+    holds is settled for row in one step. So is all the previous value
+    holds when it lies inside row, which leaves one step per row of a
+    chain. Only a failure walks every related pair, to name the least
+    witness.
+    """
+    last = 0
+    for row in sorted(rows):
+        if row == last:
+            continue
+        todo = row if last & ~row else row & ~last
+        while todo:
+            low = todo & -todo
+            rj = rows[low.bit_length() - 1]
+            if rj & ~row:
+                return _least_intransitive(rows)
+            # a row equal to row has not passed yet: it settles only itself
+            todo &= ~low if rj == row else ~(rj | low)
+        last = row
+    return None
+
+
+def _least_intransitive(rows) -> tuple[int, int, int]:
+    for i, row in enumerate(rows):
+        for j in bits_of(row):
+            missing = rows[j] & ~row
+            if missing:
+                return i, j, (missing & -missing).bit_length() - 1
+    raise AssertionError("rows are transitive")
+
+
 class QuasiOrder(Record):
     """A reflexive transitive relation. Validated on construction."""
 
@@ -67,15 +104,9 @@ class QuasiOrder(Record):
         for i, row in enumerate(rows):
             if not (row >> i) & 1:
                 raise NotQuasiOrder((i, i, i), f"not reflexive at {i}")
-        for i, row in enumerate(rows):
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                missing = rows[j] & ~row
-                if missing:
-                    k = (missing & -missing).bit_length() - 1
-                    raise NotQuasiOrder((i, j, k))
-                r &= r - 1
+        witness = _intransitive(rows)
+        if witness is not None:
+            raise NotQuasiOrder(witness)
         set_slot(self, "n", n)
         set_slot(self, "rows", rows)
 
@@ -126,10 +157,10 @@ class StrictOrder(Record):
         for i, row in enumerate(rows):
             if (row >> i) & 1:
                 raise NotStrictOrder(f"not irreflexive at {i}")
-        for i, row in enumerate(rows):
-            for j in bits_of(row):
-                if rows[j] & ~row:
-                    raise NotStrictOrder(f"not transitive through ({i}, {j})")
+        witness = _intransitive(rows)
+        if witness is not None:
+            i, j, _ = witness
+            raise NotStrictOrder(f"not transitive through ({i}, {j})")
         set_slot(self, "n", n)
         set_slot(self, "rows", rows)
 
@@ -242,9 +273,19 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     if pair_rows:
         below = list(below)
         for a, row in enumerate(pair_rows):
-            for b in bits_of(row):
-                for x in bits_of(same[b]):
-                    below[x] |= 1 << a
+            if not row:
+                continue
+            bit = 1 << a
+            while row:
+                low = row & -row
+                b = low.bit_length() - 1
+                members = same[b]
+                if members == low:
+                    below[b] |= bit
+                else:
+                    for x in bits_of(members):
+                        below[x] |= bit
+                row ^= low
     order = []
     remaining = (1 << q.n) - 1
     while remaining:
@@ -261,8 +302,11 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     suffix = 0
     for members in reversed(order):
         suffix |= members
-        for x in bits_of(members):
-            rows[x] = suffix
+        if members & (members - 1):
+            for x in bits_of(members):
+                rows[x] = suffix
+        else:
+            rows[members.bit_length() - 1] = suffix
     return QuasiOrder(q.n, tuple(rows))
 
 

@@ -76,10 +76,12 @@ def _int_pairs(raw, what: str) -> list[tuple[int, int]]:
         raise FormatError(f"{what} must be a list of pairs")
     out = []
     for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) for v in item)
+        # type() and not isinstance(): JSON true and false are bools
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and type(item[0]) is int
+            and type(item[1]) is int
         ):
             raise FormatError(f"{what} entry {item!r} is not an int pair")
         out.append((item[0], item[1]))
@@ -124,7 +126,7 @@ def cover_from_payload(doc: Any) -> AcyclicCover:
         raise FormatError('expected an object with "classes"')
     classes = doc["classes"]
     if not isinstance(classes, list) or not all(
-        isinstance(c, list) and all(isinstance(v, int) for v in c)
+        isinstance(c, list) and all(type(v) is int for v in c)
         for c in classes
     ):
         raise FormatError('"classes" must be lists of ints')
@@ -147,7 +149,7 @@ def homwitness_from_payload(doc: Any) -> HomWitness:
     if not isinstance(doc, dict) or doc.get("kind") != "homwitness":
         raise FormatError('expected an object with "kind": "homwitness"')
     raw = doc.get("map")
-    if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
+    if not isinstance(raw, list) or not all(type(v) is int for v in raw):
         raise FormatError('"map" must be a list of ints')
     minimal = doc.get("minimal", False)
     if not isinstance(minimal, bool):

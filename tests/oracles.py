@@ -15,6 +15,8 @@ from orderdim import (
     Cycle,
     Digraph,
     IndexOutOfRange,
+    NotQuasiOrder,
+    NotStrictOrder,
     QuasiOrder,
     QuotientPoset,
     SizeMismatch,
@@ -298,6 +300,37 @@ def relation_is_transitive(rows: tuple[int, ...]) -> bool:
                 if rows[i] | rows[j] != rows[i]:
                     return False
     return True
+
+
+def walk_quasi_order(n: int, rows: tuple[int, ...]) -> None:
+    """The pair-by-pair check QuasiOrder made before its sorted-row kernel.
+
+    Raises what QuasiOrder raises on well-shaped rows: reflexivity is
+    checked first, then every related pair in row order.
+    """
+    for i, row in enumerate(rows):
+        if not (row >> i) & 1:
+            raise NotQuasiOrder((i, i, i), f"not reflexive at {i}")
+    for i, row in enumerate(rows):
+        r = row
+        while r:
+            j = (r & -r).bit_length() - 1
+            missing = rows[j] & ~row
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise NotQuasiOrder((i, j, k))
+            r &= r - 1
+
+
+def walk_strict_order(n: int, rows: tuple[int, ...]) -> None:
+    """The pair-by-pair check StrictOrder made before its sorted-row kernel."""
+    for i, row in enumerate(rows):
+        if (row >> i) & 1:
+            raise NotStrictOrder(f"not irreflexive at {i}")
+    for i, row in enumerate(rows):
+        for j in bits_of(row):
+            if rows[j] & ~row:
+                raise NotStrictOrder(f"not transitive through ({i}, {j})")
 
 
 def brute_force_poset_count(n: int) -> int:

@@ -388,6 +388,20 @@ def test_convert_bad_witness_is_usage_error(capsys, tmp_path):
     assert err == f'error: {scalar}: "extensions" must be a list\n'
 
 
+def test_boolean_ids_are_usage_errors(capsys, tmp_path):
+    order = write(
+        tmp_path, "bool.json", {"kind": "quasi", "n": 2, "pairs": [[True, False]]}
+    )
+    code, out, err = invoke(capsys, "dim", order)
+    assert code == 2 and out == ""
+    assert err == f"error: {order}: pairs entry [True, False] is not an int pair\n"
+    chain = write(tmp_path, "chain.json", {"kind": "quasi", "n": 2, "pairs": [[0, 1]]})
+    cover = write(tmp_path, "cover.json", {"classes": [[False]]})
+    code, out, err = invoke(capsys, "convert", "cover-to-ext", chain, cover)
+    assert code == 2 and out == ""
+    assert err == f'error: {cover}: "classes" must be lists of ints\n'
+
+
 def test_convert_cover_vertex_outside_pair_digraph_exits_2(capsys, tmp_path):
     chain = write(
         tmp_path,

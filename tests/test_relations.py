@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderdim import (
     NotQuasiOrder,
+    NotStrictOrder,
     QuasiOrder,
+    StrictOrder,
     SizeMismatch,
     chain_order,
     crown_order,
@@ -17,15 +21,19 @@ from orderdim import (
     linear_extension,
     quasi_order,
     quotient,
+    random_order,
     random_quasi,
 )
 from orderdim.errors import IndexOutOfRange
+from orderdim.relations import close_rows
 
 from .oracles import (
     loop_linear_extension,
     loop_quotient,
     relation_is_reflexive,
     relation_is_transitive,
+    walk_quasi_order,
+    walk_strict_order,
 )
 
 
@@ -156,3 +164,108 @@ def test_random_quasi_is_always_valid():
         q = random_quasi(5, 0.4, seed)
         assert relation_is_reflexive(q.rows)
         assert relation_is_transitive(q.rows)
+
+
+def _outcome(build, n, rows):
+    try:
+        build(n, rows)
+    except (NotQuasiOrder, NotStrictOrder) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+def _kernel_matches_walk(n, rows) -> tuple[bool, bool]:
+    """Both orders accept rows or raise exactly what the walk raises;
+    returns whether each accepted."""
+    rows = tuple(rows)
+    quasi = _outcome(QuasiOrder, n, rows)
+    strict = _outcome(StrictOrder, n, rows)
+    assert quasi == _outcome(walk_quasi_order, n, rows), rows
+    assert strict == _outcome(walk_strict_order, n, rows), rows
+    return quasi is None, strict is None
+
+
+def _flip(rows, rng, flips):
+    rows = list(rows)
+    for _ in range(flips):
+        if rows:
+            rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(len(rows))
+    return rows
+
+
+def test_transitivity_kernel_matches_the_walk_on_every_small_relation():
+    accepted = [0, 0]
+    for n in range(4):
+        full = (1 << n) - 1
+        for code in range(1 << (n * n)):
+            rows = [(code >> (i * n)) & full for i in range(n)]
+            for variant in (
+                rows,
+                [r | 1 << i for i, r in enumerate(rows)],
+                [r & ~(1 << i) for i, r in enumerate(rows)],
+            ):
+                quasi, strict = _kernel_matches_walk(n, variant)
+                accepted[0] += quasi and variant is rows
+                accepted[1] += strict and variant is rows
+    # labelled quasi orders and posets on 0..3 points: 1+1+4+29, 1+1+3+19
+    assert accepted == [35, 24]
+
+
+def test_transitivity_kernel_matches_the_walk_on_seeded_relations():
+    rng = random.Random(15)
+    seen = {"raw": [0, 0], "closed": [0, 0], "strict": [0, 0], "merged": [0, 0]}
+    ties = 0
+    for _ in range(400):
+        n = rng.randint(0, 14)
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        full = (1 << n) - 1
+        raw = [
+            sum(1 << j for j in range(n) if rng.random() < p) for _ in range(n)
+        ]
+        closed = close_rows([r | 1 << i for i, r in enumerate(raw)], n)
+        strict = [
+            r & ~(1 << i)
+            for i, r in enumerate(random_order(n, p, rng.randrange(1 << 30)).rows)
+        ]
+        merged = random_quasi(n, p / 2, rng.randrange(1 << 30)).rows
+        ties += len(set(merged)) < n
+        for name, rows in (
+            ("raw", raw),
+            ("raw", [r | 1 << i for i, r in enumerate(raw)]),
+            ("closed", closed),
+            ("closed", _flip(closed, rng, rng.randint(1, 3))),
+            ("strict", strict),
+            ("strict", _flip(strict, rng, rng.randint(1, 3))),
+            ("merged", merged),
+            ("merged", _flip(merged, rng, rng.randint(1, 3))),
+        ):
+            assert all(r & ~full == 0 for r in rows)
+            quasi, strict_ok = _kernel_matches_walk(n, rows)
+            seen[name][quasi or strict_ok] += 1
+    # every family gives both accepted and rejected relations
+    assert all(min(counts) >= 40 for counts in seen.values()), seen
+    assert ties >= 40
+
+
+def test_transitivity_kernel_matches_the_walk_on_chains():
+    rng = random.Random(16)
+    for n in range(16):
+        ascending = chain_order(n).rows  # row i is the suffix i..n-1
+        descending = tuple((2 << i) - 1 for i in range(n))  # the prefix 0..i
+        for rows in (ascending, descending):
+            strict = [r & ~(1 << i) for i, r in enumerate(rows)]
+            assert _kernel_matches_walk(n, rows) == (True, n == 0)
+            assert _kernel_matches_walk(n, strict) == (n == 0, True)
+            for _ in range(6):
+                _kernel_matches_walk(n, _flip(rows, rng, 1))
+                _kernel_matches_walk(n, _flip(strict, rng, 1))
+
+
+def test_transitivity_kernel_names_the_least_witness():
+    # rows 0 and 3 fail; row 3 is the smaller int and is visited first
+    with pytest.raises(NotQuasiOrder) as err:
+        QuasiOrder(4, (0b1101, 0b0010, 0b0110, 0b1100))
+    assert err.value.witness == (0, 2, 1)
+    assert str(err.value) == "transitivity fails at (0, 2, 1)"
+    with pytest.raises(NotStrictOrder, match=r"^not transitive through \(0, 2\)$"):
+        StrictOrder(4, (0b1100, 0b0000, 0b0010, 0b0100))

@@ -101,3 +101,22 @@ def test_size_limit_admits_every_written_payload():
     assert digraph_from_payload(doc).n == MAX_INPUT_N
     with pytest.raises(FormatError, match="input limit"):
         digraph_from_payload({**doc, "n": MAX_INPUT_N + 1})
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_booleans_are_not_ids(flag):
+    # bool is a subclass of int, so an isinstance test let these through
+    base = crown_order(2)
+    with pytest.raises(FormatError, match="not an int pair"):
+        order_from_payload({"kind": "quasi", "n": 2, "pairs": [[flag, 0]]})
+    with pytest.raises(FormatError, match="not an int pair"):
+        order_from_payload({"kind": "quasi", "n": 2, "pairs": [[0, flag]]})
+    with pytest.raises(FormatError, match="not an int pair"):
+        digraph_from_payload({"kind": "digraph", "n": 2, "edges": [[flag, 1]]})
+    with pytest.raises(FormatError, match="not an int pair"):
+        family_from_payload({"extensions": [[[flag, 2]]]}, base)
+    with pytest.raises(FormatError, match="lists of ints"):
+        cover_from_payload({"classes": [[0, flag]]})
+    with pytest.raises(FormatError, match="list of ints"):
+        homwitness_from_payload({"kind": "homwitness", "map": [0, flag]})
+
