@@ -4,64 +4,79 @@ from __future__ import annotations
 
 from .digraphs import Digraph, digraph
 from .errors import IndexOutOfRange, TooLarge
-from .relations import QuasiOrder, bits_of, quasi_order, transpose_rows
+from .relations import (
+    QuasiOrder,
+    bits_of,
+    close_rows,
+    quasi_order,
+    transpose_rows,
+)
 from .rng import SplitMix64
 
 
 def random_order(n: int, p: float, seed: int) -> QuasiOrder:
     """Reflexive-transitive closure of a random DAG with edge chance p."""
-    rng = SplitMix64(seed)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.chance(p)
-    ]
-    return quasi_order(n, pairs, close=True)
+    up = _upper_rows(n, SplitMix64(seed).hits(n * (n - 1) // 2, p))
+    # edges only climb, so the rows above i are closed by the time i is
+    for i in reversed(range(n)):
+        row = 1 << i
+        todo = up[i]
+        while todo:
+            low = todo & -todo
+            row |= up[low.bit_length() - 1]
+            todo &= ~row
+        up[i] = row
+    return QuasiOrder(n, tuple(up))
 
 
 def random_quasi(n: int, p: float, seed: int) -> QuasiOrder:
     """Closure of an arbitrary random relation; classes can be nontrivial."""
-    rng = SplitMix64(seed)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.chance(p)
-    ]
-    return quasi_order(n, pairs, close=True)
+    rows = _off_diagonal_rows(n, SplitMix64(seed).hits(n * (n - 1), p))
+    for i in range(n):
+        rows[i] |= 1 << i
+    return QuasiOrder(n, tuple(close_rows(rows, n)))
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
-    rng = SplitMix64(seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and rng.chance(p)
-    ]
-    return digraph(n, edges)
+    rows = _off_diagonal_rows(n, SplitMix64(seed).hits(n * (n - 1), p))
+    return Digraph(n, tuple(rows))
 
 
 def random_symmetric(n: int, p: float, seed: int) -> Digraph:
-    rng = SplitMix64(seed)
-    edges = []
+    up = _upper_rows(n, SplitMix64(seed).hits(n * (n - 1) // 2, p))
+    down = transpose_rows(up, n)
+    return Digraph(n, tuple(u | d for u, d in zip(up, down)))
+
+
+def _upper_rows(n: int, hits: int) -> list[int]:
+    """Draw bits in the order (0, 1), (0, 2), ..., (n - 2, n - 1) as rows."""
+    rows = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if rng.chance(p):
-                edges.append((i, j))
-                edges.append((j, i))
-    return digraph(n, edges)
+        width = n - 1 - i
+        rows.append((hits & ((1 << width) - 1)) << (i + 1))
+        hits >>= width
+    return rows
+
+
+def _off_diagonal_rows(n: int, hits: int) -> list[int]:
+    """Draw bits in row-major order over (i, j), i != j, as rows."""
+    rows = []
+    for i in range(n):
+        draws = hits & ((1 << (n - 1)) - 1)
+        hits >>= n - 1
+        before = draws & ((1 << i) - 1)
+        rows.append(before | (draws ^ before) << 1)
+    return rows
 
 
 def crown_order(n: int) -> QuasiOrder:
     """n minima below n maxima, each pair related except at equal index."""
     if n < 1:
         raise IndexOutOfRange(f"crown needs at least 1 minimum, got {n}")
-    pairs = [
-        (i, n + j) for i in range(n) for j in range(n) if i != j
-    ]
-    return quasi_order(2 * n, pairs, close=False)
+    maxima = ((1 << n) - 1) << n
+    rows = [(1 << i) | maxima & ~(1 << (n + i)) for i in range(n)]
+    rows += [1 << (n + j) for j in range(n)]
+    return QuasiOrder(2 * n, tuple(rows))
 
 
 def chain_order(n: int) -> QuasiOrder:
@@ -78,13 +93,9 @@ def boolean_order(atoms: int) -> QuasiOrder:
     if atoms < 0 or atoms > 6:
         raise TooLarge(f"{atoms} atoms outside the supported 0..6")
     n = 1 << atoms
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and i & ~j == 0
-    ]
-    return quasi_order(n, pairs, close=False)
+    # row i holds every j that contains i
+    rows = [sum(1 << j for j in range(n) if i & ~j == 0) for i in range(n)]
+    return QuasiOrder(n, tuple(rows))
 
 
 def directed_cycle(n: int) -> Digraph:

@@ -35,17 +35,30 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _off_diagonal_pairs(rows) -> list[list[int]]:
+    """[i, j] for each bit j != i of each rows[i], in lexicographic order."""
+    out = []
+    for i, row in enumerate(rows):
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            out.append([i, low.bit_length() - 1])
+            row ^= low
+    return out
+
+
 def order_payload(q: QuasiOrder) -> dict:
     return {
         "kind": "quasi",
         "n": q.n,
-        "pairs": [list(p) for p in q.related_pairs()],
+        "pairs": _off_diagonal_pairs(q.rows),
         "closure": False,
     }
 
 
 def digraph_payload(d: Digraph) -> dict:
-    return {"kind": "digraph", "n": d.n, "edges": [list(e) for e in d.edges()]}
+    # a digraph row never holds its own bit, so none is dropped
+    return {"kind": "digraph", "n": d.n, "edges": _off_diagonal_pairs(d.rows)}
 
 
 def cover_payload(c: AcyclicCover) -> dict:
