@@ -21,32 +21,11 @@ from .errors import (
     OrderdimError,
     TooLarge,
 )
-from .generate import (
-    antichain_order,
-    bidirected_clique,
-    boolean_order,
-    chain_order,
-    crown_order,
-    directed_cycle,
-    enumerate_posets,
-    random_digraph,
-    random_order,
-    random_quasi,
-    random_symmetric,
-)
 from .reduction import (
     cover_to_extensions,
     extensions_to_cover,
     pair_digraph,
     two_level_order,
-)
-from .selectors import (
-    DenseSelector,
-    canonical_cycles,
-    density_report,
-    level_edge_count,
-    monotone_counterexample,
-    selector_digraph,
 )
 from .serialize import (
     MAX_INPUT_N,
@@ -218,6 +197,15 @@ def _cmd_convert(args, out) -> int:
 
 
 def _cmd_g0(args, out) -> int:
+    from .selectors import (
+        DenseSelector,
+        canonical_cycles,
+        density_report,
+        level_edge_count,
+        monotone_counterexample,
+        selector_digraph,
+    )
+
     sigma = _parse_sigma(args.sigma)
     sel = DenseSelector()
     if args.what == "selector":
@@ -316,18 +304,19 @@ def _cmd_hom(args, out) -> int:
     return 0 if res.ok else 1
 
 
-# kind -> (generator taking n, p and seed, payload function)
+# kind -> (generate function, whether it takes p and seed after n,
+# payload function); only gen imports generate
 GENERATORS = {
-    "poset": (random_order, order_payload),
-    "quasi": (random_quasi, order_payload),
-    "digraph": (random_digraph, digraph_payload),
-    "symmetric": (random_symmetric, digraph_payload),
-    "crown": (lambda n, p, seed: crown_order(n), order_payload),
-    "chain": (lambda n, p, seed: chain_order(n), order_payload),
-    "antichain": (lambda n, p, seed: antichain_order(n), order_payload),
-    "boolean": (lambda n, p, seed: boolean_order(n), order_payload),
-    "cycle": (lambda n, p, seed: directed_cycle(n), digraph_payload),
-    "biclique": (lambda n, p, seed: bidirected_clique(n), digraph_payload),
+    "poset": ("random_order", True, order_payload),
+    "quasi": ("random_quasi", True, order_payload),
+    "digraph": ("random_digraph", True, digraph_payload),
+    "symmetric": ("random_symmetric", True, digraph_payload),
+    "crown": ("crown_order", False, order_payload),
+    "chain": ("chain_order", False, order_payload),
+    "antichain": ("antichain_order", False, order_payload),
+    "boolean": ("boolean_order", False, order_payload),
+    "cycle": ("directed_cycle", False, digraph_payload),
+    "biclique": ("bidirected_clique", False, digraph_payload),
 }
 
 # The instances of all kinds but antichain, cycle and boolean (which
@@ -349,9 +338,12 @@ def _cmd_gen(args, out) -> int:
         raise TooLarge(
             f"gen {args.kind} is guarded to n <= {MAX_GEN_N}, got {n}"
         )
-    make, payload = GENERATORS[args.kind]
+    from . import generate
+
+    name, seeded, payload = GENERATORS[args.kind]
+    make = getattr(generate, name)
     try:
-        instance = make(n, args.p, args.seed)
+        instance = make(n, args.p, args.seed) if seeded else make(n)
     except IndexOutOfRange as exc:
         # crown and cycle have a least size of their own
         raise UsageError(str(exc))
@@ -360,6 +352,8 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    from .generate import enumerate_posets
+
     if args.n < 0:
         raise UsageError(f"--n must be at least 0, got {args.n}")
     count = 0
@@ -409,7 +403,87 @@ def _add_common(sub, budget=True):
         sub.add_argument("--budget", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _dim_args(p):
+    p.add_argument("order")
+    _add_common(p)
+
+
+def _digraph_args(p):
+    p.add_argument("digraph")
+    _add_common(p)
+
+
+def _reduce_args(p):
+    p.add_argument("what", choices=("ap", "bp", "pg"))
+    p.add_argument("source")
+    _add_common(p, budget=False)
+
+
+def _convert_args(p):
+    p.add_argument("direction", choices=("cover-to-ext", "ext-to-cover"))
+    p.add_argument("order")
+    p.add_argument("witness")
+    _add_common(p, budget=False)
+
+
+def _g0_args(p):
+    p.add_argument("what", choices=("selector", "k", "density", "monotone"))
+    p.add_argument("--sigma", required=True)
+    p.add_argument("--depth", type=int, default=None)
+    _add_common(p, budget=False)
+
+
+def _hom_args(p):
+    p.add_argument("what", choices=("find", "check"))
+    p.add_argument("g")
+    p.add_argument("h")
+    p.add_argument("witness", nargs="?", default=None)
+    p.add_argument("--minimal", action="store_true")
+    _add_common(p)
+
+
+def _gen_args(p):
+    p.add_argument("kind", choices=tuple(GENERATORS))
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--p", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p, budget=False)
+
+
+def _enumerate_args(p):
+    p.add_argument("--n", type=int, default=4)
+    _add_common(p, budget=False)
+
+
+def _verify_args(p):
+    p.add_argument("name")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+
+
+# name -> (help line, handler, function adding its arguments), in the
+# order the full parser lists them
+SUBCOMMANDS = {
+    "dim": ("order dimension of a quasi order", _cmd_dim, _dim_args),
+    "dicr": ("dichromatic number of a digraph", _cmd_dicr, _digraph_args),
+    "chrom": (
+        "chromatic number of a symmetric digraph", _cmd_chrom, _digraph_args
+    ),
+    "reduce": ("order/digraph reductions", _cmd_reduce, _reduce_args),
+    "convert": ("witness conversions", _cmd_convert, _convert_args),
+    "g0": ("branching-tree digraphs and selectors", _cmd_g0, _g0_args),
+    "hom": ("digraph homomorphisms", _cmd_hom, _hom_args),
+    "gen": ("instance generators", _cmd_gen, _gen_args),
+    "enumerate": (
+        "all labeled posets up to a size", _cmd_enumerate, _enumerate_args
+    ),
+    "verify": ("run a certificate campaign", _cmd_verify, _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The orderdim parser, with every subcommand or only the one named."""
     parser = argparse.ArgumentParser(
         prog="orderdim",
         description=(
@@ -418,78 +492,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dim", help="order dimension of a quasi order")
-    p.add_argument("order")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dim)
-
-    p = subs.add_parser("dicr", help="dichromatic number of a digraph")
-    p.add_argument("digraph")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dicr)
-
-    p = subs.add_parser("chrom", help="chromatic number of a symmetric digraph")
-    p.add_argument("digraph")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_chrom)
-
-    p = subs.add_parser("reduce", help="order/digraph reductions")
-    p.add_argument("what", choices=("ap", "bp", "pg"))
-    p.add_argument("source")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = subs.add_parser("convert", help="witness conversions")
-    p.add_argument("direction", choices=("cover-to-ext", "ext-to-cover"))
-    p.add_argument("order")
-    p.add_argument("witness")
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_convert)
-
-    p = subs.add_parser("g0", help="branching-tree digraphs and selectors")
-    p.add_argument("what", choices=("selector", "k", "density", "monotone"))
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_g0)
-
-    p = subs.add_parser("hom", help="digraph homomorphisms")
-    p.add_argument("what", choices=("find", "check"))
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("witness", nargs="?", default=None)
-    p.add_argument("--minimal", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_hom)
-
-    p = subs.add_parser("gen", help="instance generators")
-    p.add_argument("kind", choices=tuple(GENERATORS))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_gen)
-
-    p = subs.add_parser("enumerate", help="all labeled posets up to a size")
-    p.add_argument("--n", type=int, default=4)
-    _add_common(p, budget=False)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = subs.add_parser("verify", help="run a certificate campaign")
-    p.add_argument("name")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (help_line, handler, add_args) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = subs.add_parser(name, help=help_line)
+            add_args(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv):
+    """Parse argv, building only the parser of the command it names.
+
+    Past its first argument the top-level parser only passes the rest
+    to the command's parser, which prints its own usage, help and
+    errors. The one exception is arguments the command leaves over:
+    the full parser reports those, under the full usage line.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)
+    return args
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -398,9 +398,17 @@ def two_level_order(d: Digraph) -> tuple[QuasiOrder, tuple[int, ...]]:
         rows[x] = (1 << x) | (d.rows[x] << n)
         rows[n + x] = 1 << (n + x)
     q = QuasiOrder(2 * n, tuple(rows))
-    _, pvm = pair_digraph(q)
-    emb = tuple(pvm.index((n + x, x)) for x in range(n))
-    return q, emb
+    # pair_digraph lists the pairs (a, b) with b not below a by a, then b;
+    # count the pairs before each (n + x, x) rather than build the digraph
+    full = (1 << (2 * n)) - 1
+    ys = [full & ~below for below in transpose_rows(q.rows, 2 * n)]
+    start = sum(m.bit_count() for m in ys[:n])
+    emb = []
+    for x in range(n):
+        top = ys[n + x]
+        emb.append(start + (top & ((1 << x) - 1)).bit_count())
+        start += top.bit_count()
+    return q, tuple(emb)
 
 
 def extend_by_separator(base: QuasiOrder, s: StrictOrder) -> QuasiOrder:

@@ -66,21 +66,33 @@ def _intransitive(rows) -> tuple[int, int, int] | None:
     inside row is a smaller int, so it has already passed, and all it
     holds is settled for row in one step. So is all the previous value
     holds when it lies inside row, which leaves one step per row of a
-    chain. Only a failure walks every related pair, to name the least
-    witness.
+    chain. An element whose own row holds only itself (a single-bit
+    value, which sorts before every other row holding the bit) or
+    nothing (a maximum of a strict order) lies inside every row that
+    holds it, so once met it is settled everywhere, which leaves one
+    step per row of a crown. Only a failure walks every related pair, to
+    name the least witness.
     """
-    last = 0
+    last = loose = 0
     for row in sorted(rows):
         if row == last:
             continue
-        todo = row if last & ~row else row & ~last
+        todo = row & ~loose if last & ~row else row & ~last
         while todo:
             low = todo & -todo
             rj = rows[low.bit_length() - 1]
             if rj & ~row:
                 return _least_intransitive(rows)
-            # a row equal to row has not passed yet: it settles only itself
-            todo &= ~low if rj == row else ~(rj | low)
+            if rj == row:
+                # a row equal to row has not passed yet: it settles only
+                # itself, and everywhere when it holds nothing else
+                todo ^= low
+                if row == low:
+                    loose |= low
+            else:
+                todo &= ~(rj | low)
+                if not rj:
+                    loose |= low
         last = row
     return None
 

@@ -14,7 +14,7 @@ import pytest
 
 import orderdim
 from orderdim.campaigns import CAMPAIGNS
-from orderdim.cli import main, run
+from orderdim.cli import _parse, build_parser, main, run
 
 from .test_search_identity import CAMPAIGN_DIGESTS
 
@@ -488,6 +488,79 @@ def test_removed_options_are_unknown(capsys, crown):
         assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
+# sha256 of json.dumps([exit code, stdout, stderr]) of each argv (the key,
+# split on spaces) at 80 columns, recorded while every call built the full
+# parser; argparse words its messages differently in other Python versions
+SURFACE_DIGESTS = {
+    "": "938afad2dea95c8c1a4ad4c5b130070ad4e654df7d10806184b1126988ef877e",
+    "-h": "98303b723cb6da42740d09ef08f53725ae90895908d2df8053d32a2d77753fcc",
+    "bogus": "7965d3a286366fbd06e6fef696d9b2d4ec45f9f37ca6fa8e35e0bbb1d45795b4",
+    "dim -h": "5f94a7b158617c064b80c8f0f0e5f0b10ec3a7128de70b8efb890ebfd734608e",
+    "dicr -h": "01187d1a81c4414b88728cea33950b1b14f37092d57793aaa24ece083fecb70e",
+    "chrom -h": "f8a9914fbcdf1da6e720a0dca780dcdb170301bb1e2451840e5f9187e2c6ec4d",
+    "reduce -h": "711adf02bb13c383da242139c05c554be17d6e78a218c4f70dc9007a017afda5",
+    "convert -h": "f463f0bda647c06a447fb987608c5ed7f8b89433876ee46236d8cfa64f7f9a2e",
+    "g0 -h": "99e2ab37fc7c26dea1c4a350a4cb67df88a273a7fd2cef89f7c7af0d2697b929",
+    "hom -h": "6e3cd12c4c24786353ed97896e7cd606ed632acaabd91391bcaebf5cb44935f0",
+    "gen -h": "d8fe5c0a049c67657d0d37b03c9e111e86bb5483195d2ee910414e3ea4ad33e8",
+    "enumerate -h": "a4bfb894e21b210bc91e05124077a13675f457c100fc2081d41fb4c85006e967",
+    "verify -h": "38b2444c4c56be1bee7f79e2b27c239e1158008f85f29f54707d123e466d2490",
+    "dim": "08ffb8ae3aa1448833d1c24b9949216e74aa72ece1fe118004ca4bd1261d98c4",
+    "dicr": "3b282fa225dbf7a9ddc046252711909968b68527983c92cc63f1de6aea5b916e",
+    "chrom": "8f08843d5a9308df3233d442ac74c70a870bb0bf633126943a64c63ee5ad5f61",
+    "reduce": "3157b40e23a06f0df518e6f4072b68ba392eaf2224a3b056755a7092edf8a7c3",
+    "convert": "8105e59476106d323f206ccd69a26b7791f1ec0303e752a9edffd98761380e1e",
+    "g0": "f7491eedce8cc7318914199a6886af847c18182d5b331f79680e44ca78fe4977",
+    "hom": "05da80a140237dd7f5ffba9344f350751d986244fc727a3ca46b651b792cb03e",
+    "gen": "c4538a1911a3d6c6d48f8823cba8aa2d08f890cc87da9f2271fcf16b4b24bd23",
+    "verify": "ff345e4d4f060c7effde5624d5ff738cdeaac2118d74ce020f457b5aed7f162a",
+    "enumerate --n": "3f3b2a0bbcc67a0089054e6b33403e64ef4937cc18aba603d62ffb6caac9248a",
+    "dim x.json --format yaml": "aaf57bc9b876433248263f5bd04121e4b01ddc005c893dd688145db9a04d7240",
+    "--help": "98303b723cb6da42740d09ef08f53725ae90895908d2df8053d32a2d77753fcc",
+    "-x": "938afad2dea95c8c1a4ad4c5b130070ad4e654df7d10806184b1126988ef877e",
+    "dim --help x": "5f94a7b158617c064b80c8f0f0e5f0b10ec3a7128de70b8efb890ebfd734608e",
+    "dim x --method realizer": "91657c00c415e41cf3477e505e86803d2f072e87de0ea647b32f624c65336e69",
+    "verify g0 --exhaustive": "da0bc42c10d3589911b3972908e4f08a017a089038978970d77c17d9c75626a2",
+    "gen crown --n 3 extra": "d7c1470a7f226bc5cc9a7baba8b47815a72f6b99de06383d2b67ae1ac9eb7c77",
+}
+
+
+def _surface(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests recorded on Python 3.11"
+)
+def test_cli_surface_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for key, digest in SURFACE_DIGESTS.items():
+        assert _surface(capsys, lambda: run(key.split())) == digest, key
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for key in SURFACE_DIGESTS:
+        argv = key.split()
+        fast = _surface(capsys, lambda: run(argv))
+        full = _surface(capsys, lambda: build_parser().parse_args(argv))
+        assert fast == full, key
+    for argv in (
+        ["dim", "o.json", "--budget", "5", "--format", "text"],
+        ["hom", "check", "g.json", "h.json", "w.json", "--minimal"],
+        ["gen", "crown", "--n", "3", "--out", "c.json"],
+        ["g0", "density", "--sigma", "2,3", "--depth", "1"],
+        ["enumerate"],
+        ["verify", "g0", "--n", "2", "--seed", "4"],
+    ):
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+
 def test_closed_stdout_pipe_exits_two():
     proc = child(
         "-m", "orderdim.cli", "enumerate", "--n", "6",
@@ -500,7 +573,7 @@ def test_closed_stdout_pipe_exits_two():
     assert "Traceback" not in err and "pipe" in err
 
 
-def test_cold_imports_skip_dataclasses_and_campaigns():
+def test_cold_imports_skip_dataclasses_and_campaigns(tmp_path, crown, c3):
     # a cold process pays for every module it imports; only `verify`
     # needs the campaigns, and no record type needs dataclasses
     for code in (
@@ -512,6 +585,32 @@ def test_cold_imports_skip_dataclasses_and_campaigns():
         proc = child("-c", code, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err.decode()
+    # a request loads only what its subcommand runs
+    chain = write(
+        tmp_path, "chain.json",
+        {"kind": "quasi", "n": 3, "pairs": [[0, 1], [0, 2], [1, 2]]},
+    )
+    cover = write(tmp_path, "cover.json", {"classes": [[0, 1, 2]]})
+    skipped = ("check", "generate", "rng", "selectors", "campaigns")
+    code = (
+        "import sys; from orderdim.cli import main; "
+        "code = main(sys.argv[1:]); "
+        f"loaded = [m for m in {[f'orderdim.{m}' for m in skipped]!r} "
+        "if m in sys.modules]; "
+        "assert code == 0 and not loaded, (code, loaded)"
+    )
+    for argv in (
+        ["dim", crown],
+        ["dicr", c3],
+        ["reduce", "ap", crown],
+        ["convert", "cover-to-ext", chain, cover],
+    ):
+        proc = child(
+            "-c", code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (argv, err.decode())
+        assert out
 
 
 def test_import_does_not_load_numpy():

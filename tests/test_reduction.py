@@ -18,6 +18,7 @@ from orderdim import (
     NotExtension,
     SizeMismatch,
     antichain_order,
+    bidirected_clique,
     boolean_order,
     chain_order,
     check_cover,
@@ -26,6 +27,7 @@ from orderdim import (
     critical_pair_digraph,
     crown_order,
     dichromatic_number,
+    directed_cycle,
     enumerate_posets,
     extend_by_pairs,
     extend_by_separator,
@@ -300,6 +302,20 @@ def test_two_level_order_embedding_is_edge_faithful():
             for y in range(n):
                 if x != y:
                     assert g.adj(x, y) == ap.adj(emb[x], emb[y])
+
+
+def test_two_level_embedding_indexes_the_pair_digraph():
+    # the embedding is counted, not looked up: it must name the vertex
+    # that pair_digraph gives the pair (top x, bottom x)
+    rng = SplitMix64(23)
+    graphs = [random_digraph(n, 0.05 * p, rng.next_u64())
+              for n in range(9) for p in range(21)]
+    graphs += [bidirected_clique(n) for n in range(1, 7)]
+    graphs += [directed_cycle(n) for n in range(2, 7)]
+    for g in graphs:
+        q, emb = two_level_order(g)
+        _, pvm = pair_digraph(q)
+        assert emb == tuple(pvm.index((g.n + x, x)) for x in range(g.n))
 
 
 def test_separator_extension_is_transitive_and_preserves_classes():

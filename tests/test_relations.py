@@ -261,6 +261,20 @@ def test_transitivity_kernel_matches_the_walk_on_chains():
                 _kernel_matches_walk(n, _flip(strict, rng, 1))
 
 
+def test_transitivity_kernel_matches_the_walk_on_crowns():
+    # the maxima's rows hold only themselves (quasi) or nothing (strict),
+    # so the kernel settles them in every later row at once
+    rng = random.Random(17)
+    for k in range(1, 9):
+        rows = crown_order(k).rows
+        strict = [r & ~(1 << i) for i, r in enumerate(rows)]
+        assert _kernel_matches_walk(2 * k, rows) == (True, False)
+        assert _kernel_matches_walk(2 * k, strict) == (False, True)
+        for _ in range(12):
+            _kernel_matches_walk(2 * k, _flip(rows, rng, rng.randint(1, 2)))
+            _kernel_matches_walk(2 * k, _flip(strict, rng, rng.randint(1, 2)))
+
+
 def test_transitivity_kernel_names_the_least_witness():
     # rows 0 and 3 fail; row 3 is the smaller int and is visited first
     with pytest.raises(NotQuasiOrder) as err:
