@@ -21,8 +21,8 @@ _SUBMODULE = {
         (
             "digraphs",
             "Cycle Digraph HomCheck HomWitness digraph find_homomorphism "
-            "is_acyclic is_k_uniform is_minimal_cycle minimal_cycles "
-            "scc_decompose verify_cycle verify_homomorphism",
+            "is_acyclic is_minimal_cycle minimal_cycles scc_decompose "
+            "verify_cycle verify_homomorphism",
         ),
         (
             "errors",
@@ -42,8 +42,8 @@ _SUBMODULE = {
             "AcyclicCover ExtensionFamily Incomplete PairVertexMap check_cover "
             "closure_path cover_to_extensions critical_pair_digraph "
             "extend_by_pairs extend_by_separator extension_pairs "
-            "extensions_to_cover family_from_separators lift_pairs "
-            "pair_digraph prefix_separators two_level_order undecided_pair",
+            "extensions_to_cover family_from_separators pair_digraph "
+            "prefix_separators two_level_order undecided_pair",
         ),
         (
             "relations",

@@ -476,7 +476,7 @@ SUBCOMMANDS = {
     "hom": ("digraph homomorphisms", _cmd_hom, _hom_args),
     "gen": ("instance generators", _cmd_gen, _gen_args),
     "enumerate": (
-        "all labeled posets up to a size", _cmd_enumerate, _enumerate_args
+        "labeled posets on exactly n points", _cmd_enumerate, _enumerate_args
     ),
     "verify": ("run a certificate campaign", _cmd_verify, _verify_args),
 }

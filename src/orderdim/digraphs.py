@@ -141,17 +141,11 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
 def is_minimal_cycle(d: Digraph, verts) -> bool:
     """Distinct vertices inducing exactly the consecutive edges, wrapped."""
     vs = tuple(verts)
-    m = len(vs)
-    if m < 2 or len(set(vs)) != m:
+    if len(vs) < 2 or len(set(vs)) != len(vs):
         return False
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            want = j == (i + 1) % m
-            if d.adj(vs[i], vs[j]) != want:
-                return False
-    return True
+    members = sum(1 << v for v in vs)
+    rows = d.rows
+    return all(rows[v] & members == 1 << w for v, w in zip(vs, vs[1:] + vs[:1]))
 
 
 DEFAULT_CYCLE_BUDGET = 10**6
@@ -170,44 +164,30 @@ def minimal_cycles(
     `budget` extension attempts.
     """
     rows = d.rows
+    cols = transpose_rows(rows, d.n)
     out: list[Cycle] = []
     nodes = 0
     for v0 in range(d.n):
-        # only cycles whose least vertex is v0; larger ids may be visited
-        stack = [([v0], 1 << v0)]
+        # only cycles whose least vertex is v0: ids up to v0 count as seen
+        stack = [([v0], (2 << v0) - 1, 0)]
         while stack:
-            path, seen = stack.pop()
+            path, seen, inner = stack.pop()
             last = path[-1]
-            k = len(path) - 1
-            for w in bits_of(rows[last]):
-                if w <= v0 or (seen >> w) & 1:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise LimitExceeded(budget, "minimal cycle enumeration")
-                if k >= 1:
-                    if (rows[w] >> last) & 1:
-                        continue
-                    if (rows[v0] >> w) & 1:
-                        continue
-                    ok = True
-                    for u in path[1:-1]:
-                        if (rows[u] >> w) & 1 or (rows[w] >> u) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                if (rows[w] >> v0) & 1:
+            cand = rows[last] & ~seen
+            nodes += cand.bit_count()
+            if nodes > budget:
+                raise LimitExceeded(budget, "minimal cycle enumeration")
+            if len(path) > 1:
+                # no chord back to last, from v0, or to or from an inner vertex
+                cand &= ~(cols[last] | rows[v0] | inner)
+                inner |= rows[last] | cols[last]
+            for w in bits_of(cand):
+                if (cols[v0] >> w) & 1:
                     out.append(Cycle(tuple(path) + (w,)))
-                    continue
-                stack.append((path + [w], seen | (1 << w)))
+                else:
+                    stack.append((path + [w], seen | (1 << w), inner))
     out.sort(key=lambda c: (len(c.verts), c.verts))
     return tuple(out)
-
-
-def is_k_uniform(d: Digraph, k: int, budget: int = DEFAULT_CYCLE_BUDGET) -> bool:
-    """True iff every minimal cycle has length at most k."""
-    return all(c.length <= k for c in minimal_cycles(d, budget))
 
 
 def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
@@ -343,54 +323,47 @@ def find_homomorphism(
         return HomWitness((), minimal)
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    # constraints checkable once a vertex is placed: (partner, i_am_source,
-    # edge_required), partner always earlier in the assignment order
-    cons: list[list[tuple[int, bool, bool]]] = [[] for _ in range(g.n)]
-
-    def add(a: int, b: int, required: bool) -> None:
-        # constraint on the ordered pair (a, b) in the source digraph
-        if pos[a] > pos[b]:
-            cons[a].append((b, True, required))
-        else:
-            cons[b].append((a, False, required))
-
-    for u in range(g.n):
-        for v in bits_of(g.rows[u]):
-            add(u, v, True)
+    h_cols = transpose_rows(h.rows, h.n)
+    # constraints checkable once a vertex is placed: (partner, lines,
+    # edge_required), partner always earlier in the assignment order and
+    # lines[image[partner]] the values that make the edge present
+    cons: list[list[tuple[int, list[int], bool]]] = [[] for _ in range(g.n)]
+    checks = [(u, v, True) for u, v in g.edges()]
     if minimal:
-        for a, b in sorted({p for p, _ in _cycle_non_edges(g, budget)}):
-            add(a, b, False)
+        checks += [(a, b, False) for (a, b), _ in _cycle_non_edges(g, budget)]
+    for a, b, required in checks:
+        if pos[a] > pos[b]:
+            cons[a].append((b, h_cols, required))
+        else:
+            cons[b].append((a, h.rows, required))
+    full = (1 << h.n) - 1
     image = [0] * g.n
+    # allowed[d]: the images of order[d] that meet its constraints, set on
+    # entering depth d; lo is the least value not yet tried there
+    allowed = [full] * g.n
     nodes = 0
     depth = 0
-    trial = [0] * g.n
+    lo = 0
     while True:
-        if trial[depth] >= h.n:
+        rest = allowed[depth] >> lo
+        t = lo + (rest & -rest).bit_length() - 1 if rest else h.n
+        # every value from lo up to t (all of them if none fits) counts
+        nodes += min(t + 1, h.n) - lo
+        if nodes > budget:
+            raise LimitExceeded(budget, "homomorphism search")
+        if t == h.n:
             depth -= 1
             if depth < 0:
                 return None
-            trial[depth] += 1
+            lo = image[order[depth]] + 1
             continue
-        u = order[depth]
-        t = trial[depth]
-        nodes += 1
-        if nodes > budget:
-            raise LimitExceeded(budget, "homomorphism search")
-        image[u] = t
-        ok = True
-        for partner, i_am_source, required in cons[u]:
-            present = (
-                h.adj(t, image[partner])
-                if i_am_source
-                else h.adj(image[partner], t)
-            )
-            if present != required:
-                ok = False
-                break
-        if not ok:
-            trial[depth] += 1
-            continue
+        image[order[depth]] = t
         if depth == g.n - 1:
             return HomWitness(tuple(image), minimal)
         depth += 1
-        trial[depth] = 0
+        lo = 0
+        fits = full
+        for partner, lines, required in cons[order[depth]]:
+            ends = lines[image[partner]]
+            fits &= ends if required else ~ends
+        allowed[depth] = fits

@@ -22,6 +22,7 @@ from .errors import (
     NotApplicable,
     NotExtension,
     SizeMismatch,
+    TooLarge,
 )
 from .records import Record, set_slot
 from .relations import (
@@ -56,17 +57,47 @@ class PairVertexMap(Record):
         return len(self.pairs)
 
 
+# the most vertices a pair digraph may have: its bit rows take up to a
+# vertex count squared bits, so a larger one is refused before it is built
+MAX_PAIR_VERTICES = 1 << 14
+
+
+def _pair_ends(q: QuasiOrder) -> list[int]:
+    """ends[x] holds each y with (x, y) a pair vertex: y not below x."""
+    full = (1 << q.n) - 1
+    return [full & ~below for below in transpose_rows(q.rows, q.n)]
+
+
+def _pair_vertices(ends, rows) -> tuple[int, ...]:
+    """Indices, in pair_digraph's lexicographic order, of the pair vertices
+    (x, y) with y in rows[x], where ends is _pair_ends of the order; the
+    pairs before each are counted by prefix popcounts, not listed."""
+    out = []
+    start = 0
+    for ys, row in zip(ends, rows):
+        for y in bits_of(row & ys):
+            out.append(start + (ys & ((1 << y) - 1)).bit_count())
+        start += ys.bit_count()
+    return tuple(out)
+
+
 def pair_digraph(
     q: QuasiOrder, incomparable_only: bool = False
 ) -> tuple[Digraph, PairVertexMap]:
-    """Digraph on undominated pairs of q; optionally only incomparable ones."""
-    full = (1 << q.n) - 1
-    pairs = []
-    for x, below in enumerate(transpose_rows(q.rows, q.n)):
-        ys = full & ~below
-        if incomparable_only:
-            ys &= ~q.rows[x]
-        pairs.extend((x, y) for y in bits_of(ys))
+    """Digraph on undominated pairs of q; optionally only incomparable ones.
+
+    TooLarge, before any pair is listed, above MAX_PAIR_VERTICES vertices.
+    """
+    ends = _pair_ends(q)
+    if incomparable_only:
+        ends = [ys & ~row for ys, row in zip(ends, q.rows)]
+    count = sum(ys.bit_count() for ys in ends)
+    if count > MAX_PAIR_VERTICES:
+        raise TooLarge(
+            f"{count} pair vertices exceed the pair vertex guard of "
+            f"{MAX_PAIR_VERTICES}"
+        )
+    pairs = [(x, y) for x, ys in enumerate(ends) for y in bits_of(ys)]
     rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
     return Digraph(len(pairs), tuple(rows)), PairVertexMap(tuple(pairs))
 
@@ -126,7 +157,8 @@ def critical_pair_digraph(
 
 def _critical_pair_frame(q: QuasiOrder):
     """critical_pair_digraph(q), _peel_frame(q), which it reads, and the
-    digraph's in-columns, so the search need not transpose it."""
+    digraph's in-columns, so the search need not transpose it. TooLarge
+    as soon as the pairs listed pass MAX_PAIR_VERTICES."""
     frame = same, down, up = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
@@ -140,6 +172,11 @@ def _critical_pair_frame(q: QuasiOrder):
         for a in bits_of(leaders & ~(db | ub | same[b])):
             if down[a] & ~db == 0 and ub & ~up[a] == 0:
                 pairs.append((b, a))
+        if len(pairs) > MAX_PAIR_VERTICES:
+            raise TooLarge(
+                f"over {MAX_PAIR_VERTICES} critical pairs exceed the pair "
+                "vertex guard"
+            )
     pairs = tuple(pairs)
     rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
     cols = _pair_edges(q.n, pairs, 0, [s | d for s, d in zip(same, down)], 1)
@@ -225,49 +262,29 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     rows = close_rows(
         [base.rows[i] | pair_rows[i] for i in range(base.n)], base.n
     )
-    merged = None
-    for x in range(base.n):
-        for y in bits_of(rows[x]):
-            if y <= x:
-                continue
-            if (rows[y] >> x) & 1 and not base.equivalent(x, y):
-                merged = (x, y)
-                break
-        if merged:
-            break
-    if merged is None:
+    # the closure contains the base, so it merges classes iff it has fewer
+    # distinct rows; the merged pair is the first x < y with equal rows
+    if len(set(rows)) == len(set(base.rows)):
         return QuasiOrder(base.n, tuple(rows))
-    x, y = merged
+    x, y = next(
+        (x, y)
+        for x in range(base.n)
+        for y in bits_of(rows[x] & (-2 << x))
+        if rows[y] == rows[x] and base.rows[y] != base.rows[x]
+    )
     plist = [(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])]
-    if base.leq(x, y):
-        cycle = closure_path(base, plist, y, x)
-    elif base.leq(y, x):
-        cycle = closure_path(base, plist, x, y)
-    else:
-        cycle = closure_path(base, plist, x, y) + closure_path(
-            base, plist, y, x
-        )
+    cycle = ()
+    if not base.leq(x, y):
+        cycle += closure_path(base, plist, x, y)
+    if not base.leq(y, x):
+        cycle += closure_path(base, plist, y, x)
     raise CycleInX(cycle)
 
 
-def lift_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
-    """linear_extension(extend_by_pairs(base, pairs)) in one peel.
-
-    The peel reads the pairs directly, so no closure and no intermediate
-    order is built. BadPair as in extend_by_pairs; a stalled peel means
-    the closure merges classes, and extend_by_pairs raises its CycleInX.
-    """
-    return lift_pair_sets(base, [pairs])[0]
-
-
-def lift_pair_sets(base: QuasiOrder, pair_sets) -> tuple[QuasiOrder, ...]:
-    """lift_pairs of each pair set in turn, all peeled off one transpose
-    of the base (its classes and below-sets are read once)."""
-    return _lift_pair_sets(base, _peel_frame(base), pair_sets)
-
-
 def _lift_pair_sets(base: QuasiOrder, frame, pair_sets):
-    """lift_pair_sets(base, pair_sets) peeled off frame, _peel_frame(base)."""
+    """linear_extension(extend_by_pairs(base, pairs)) of each pair set, in
+    one peel each off frame, _peel_frame(base); BadPair or CycleInX as in
+    extend_by_pairs, which a stalled peel re-runs for its witness."""
     exts = []
     for pairs in pair_sets:
         ext = _peel(base, frame, _pair_rows(base, pairs))
@@ -372,14 +389,11 @@ def cover_to_extensions(base: QuasiOrder, cover: AcyclicCover) -> ExtensionFamil
 
 
 def extensions_to_cover(fam: ExtensionFamily) -> AcyclicCover:
-    """One pair-digraph class per extension; classes always come out acyclic."""
-    ap, pvm = pair_digraph(fam.base)
-    cover = AcyclicCover(
-        tuple(
-            tuple(pvm.index(p) for p in extension_pairs(fam.base, e))
-            for e in fam.exts
-        )
-    )
+    """One pair-digraph class per extension, the pair vertices (x, y) with y
+    in its row of x; classes always come out acyclic."""
+    ap, _ = pair_digraph(fam.base)
+    ends = _pair_ends(fam.base)
+    cover = AcyclicCover(tuple(_pair_vertices(ends, e.rows) for e in fam.exts))
     check_cover(ap, cover)
     return cover
 
@@ -398,17 +412,9 @@ def two_level_order(d: Digraph) -> tuple[QuasiOrder, tuple[int, ...]]:
         rows[x] = (1 << x) | (d.rows[x] << n)
         rows[n + x] = 1 << (n + x)
     q = QuasiOrder(2 * n, tuple(rows))
-    # pair_digraph lists the pairs (a, b) with b not below a by a, then b;
-    # count the pairs before each (n + x, x) rather than build the digraph
-    full = (1 << (2 * n)) - 1
-    ys = [full & ~below for below in transpose_rows(q.rows, 2 * n)]
-    start = sum(m.bit_count() for m in ys[:n])
-    emb = []
-    for x in range(n):
-        top = ys[n + x]
-        emb.append(start + (top & ((1 << x) - 1)).bit_count())
-        start += top.bit_count()
-    return q, tuple(emb)
+    # index each (n + x, x) rather than build the digraph
+    tops = [0] * n + [1 << x for x in range(n)]
+    return q, _pair_vertices(_pair_ends(q), tops)
 
 
 def extend_by_separator(base: QuasiOrder, s: StrictOrder) -> QuasiOrder:
@@ -417,22 +423,18 @@ def extend_by_separator(base: QuasiOrder, s: StrictOrder) -> QuasiOrder:
     (a, b) enters when some u below-or-equal b has s(v, u) for every v
     below-or-equal a. Taking u = b shows: if s lifts everything under a
     over b, then a lands below b. The result never merges classes and is
-    transitive, so it is a genuine extension.
+    transitive, so it is a genuine extension. The u that vouch for a
+    make up the AND of s's rows over the v below-or-equal a.
     """
     if base.n != s.n:
         raise SizeMismatch(f"ground sets differ: {base.n} vs {s.n}")
-    down = transpose_rows(base.rows, base.n)
-    s_col = transpose_rows(s.rows, s.n)
     rows = list(base.rows)
-    for a in range(base.n):
-        da = down[a]
-        for b in range(base.n):
-            if (rows[a] >> b) & 1:
-                continue
-            for u in bits_of(down[b]):
-                if da & ~s_col[u] == 0:
-                    rows[a] |= 1 << b
-                    break
+    for a, da in enumerate(transpose_rows(base.rows, base.n)):
+        vouch = -1
+        for v in bits_of(da):
+            vouch &= s.rows[v]
+        for u in bits_of(vouch):
+            rows[a] |= base.rows[u]
     return QuasiOrder(base.n, tuple(rows))
 
 
@@ -465,11 +467,9 @@ def family_from_separators(base: QuasiOrder, sets) -> ExtensionFamily | Incomple
             if not (0 <= v < base.n):
                 raise IndexOutOfRange(f"separator holds {v} outside range")
             mask |= 1 << v
-        rows = tuple(
-            0 if (mask >> x) & 1 else mask for x in range(base.n)
-        )
+        rows = tuple(0 if (mask >> x) & 1 else mask for x in range(base.n))
         exts.append(extend_by_separator(base, StrictOrder(base.n, rows)))
-    missing = undecided_pair(base, exts)
-    if missing is not None:
-        return Incomplete(missing)
-    return ExtensionFamily(base, tuple(exts))
+    try:
+        return ExtensionFamily(base, tuple(exts))
+    except IncompleteFamily as err:
+        return Incomplete(err.pair)

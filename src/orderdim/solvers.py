@@ -237,9 +237,10 @@ def chromatic_number(
     Each vertex takes the index of its class in the least acyclic cover.
     """
     _check_budget(budget)
-    if not g.is_symmetric():
+    cols = transpose_rows(g.rows, g.n)
+    if cols != list(g.rows):
         raise NotAGraph("chromatic number needs a symmetric edge relation")
-    res = dichromatic_number(g, budget)
+    res = _dichromatic(g, cols, budget)
     colors = [0] * g.n
     for c, cls in enumerate(res.witness.classes):
         for v in cls:

@@ -302,6 +302,24 @@ def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
     assert code == 0 and json.loads(out)["n"] == MAX_GEN_N
 
 
+def test_pair_digraph_guard_exits_three_at_once(capsys, tmp_path):
+    # an antichain of the largest input size would have n(n - 1) pair
+    # vertices; every command that builds a pair digraph refuses it
+    doc = {"kind": "quasi", "n": 16384, "pairs": []}
+    order = write(tmp_path, "a.json", doc)
+    cover = write(tmp_path, "c.json", {"classes": [[0]]})
+    for argv in (
+        ["dim", order],
+        ["reduce", "ap", order],
+        ["reduce", "bp", order],
+        ["convert", "cover-to-ext", order, cover],
+    ):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 3 and out == "" and "pair vertex guard" in err, argv
+
+
 def test_bool_declared_size_is_usage_error(capsys, tmp_path):
     # bool is an int in Python, so true would otherwise read as n = 1
     flag = write(tmp_path, "flag.json", {"kind": "digraph", "n": True, "edges": []})
@@ -493,7 +511,7 @@ def test_removed_options_are_unknown(capsys, crown):
 # parser; argparse words its messages differently in other Python versions
 SURFACE_DIGESTS = {
     "": "938afad2dea95c8c1a4ad4c5b130070ad4e654df7d10806184b1126988ef877e",
-    "-h": "98303b723cb6da42740d09ef08f53725ae90895908d2df8053d32a2d77753fcc",
+    "-h": "19a412e2e754269046d2a59a667dd44a1617d504b473aa1b9ca08d9df9292f47",
     "bogus": "7965d3a286366fbd06e6fef696d9b2d4ec45f9f37ca6fa8e35e0bbb1d45795b4",
     "dim -h": "5f94a7b158617c064b80c8f0f0e5f0b10ec3a7128de70b8efb890ebfd734608e",
     "dicr -h": "01187d1a81c4414b88728cea33950b1b14f37092d57793aaa24ece083fecb70e",
@@ -516,7 +534,7 @@ SURFACE_DIGESTS = {
     "verify": "ff345e4d4f060c7effde5624d5ff738cdeaac2118d74ce020f457b5aed7f162a",
     "enumerate --n": "3f3b2a0bbcc67a0089054e6b33403e64ef4937cc18aba603d62ffb6caac9248a",
     "dim x.json --format yaml": "aaf57bc9b876433248263f5bd04121e4b01ddc005c893dd688145db9a04d7240",
-    "--help": "98303b723cb6da42740d09ef08f53725ae90895908d2df8053d32a2d77753fcc",
+    "--help": "19a412e2e754269046d2a59a667dd44a1617d504b473aa1b9ca08d9df9292f47",
     "-x": "938afad2dea95c8c1a4ad4c5b130070ad4e654df7d10806184b1126988ef877e",
     "dim --help x": "5f94a7b158617c064b80c8f0f0e5f0b10ec3a7128de70b8efb890ebfd734608e",
     "dim x --method realizer": "91657c00c415e41cf3477e505e86803d2f072e87de0ea647b32f624c65336e69",

@@ -21,7 +21,6 @@ from orderdim import (
     directed_cycle,
     find_homomorphism,
     is_acyclic,
-    is_k_uniform,
     is_minimal_cycle,
     minimal_cycles,
     pair_digraph,
@@ -137,12 +136,6 @@ def test_minimal_cycles_budget_is_enforced():
     d = bidirected_clique(5)
     with pytest.raises(LimitExceeded):
         minimal_cycles(d, budget=3)
-
-
-def test_k_uniformity():
-    assert is_k_uniform(directed_cycle(3), 2)
-    assert not is_k_uniform(directed_cycle(4), 2)
-    assert is_k_uniform(directed_cycle(4), 3)
 
 
 def test_scc_components_in_topological_order():

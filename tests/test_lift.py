@@ -16,7 +16,6 @@ from orderdim import (
     dichromatic_number,
     extend_by_pairs,
     extends,
-    lift_pairs,
     order_dimension,
     pair_digraph,
     quasi_order,
@@ -24,7 +23,8 @@ from orderdim import (
     random_quasi,
     undecided_pair,
 )
-from orderdim.reduction import lift_pair_sets
+from orderdim.reduction import _lift_pair_sets
+from orderdim.relations import _peel_frame
 from orderdim.rng import SplitMix64
 
 from .oracles import loop_extends, loop_lift, loop_undecided_pair
@@ -38,6 +38,14 @@ def classed_quasi(n, p, seed):
     q = random_quasi(n, p, seed)
     assume(1 < quotient(q).size < n)
     return q
+
+
+def lift_pair_sets(base, pair_sets):
+    return _lift_pair_sets(base, _peel_frame(base), pair_sets)
+
+
+def lift_pairs(base, pairs):
+    return lift_pair_sets(base, [pairs])[0]
 
 
 def lift_or_cycle(lift, base, pairs):

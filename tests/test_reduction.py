@@ -17,6 +17,7 @@ from orderdim import (
     NotApplicable,
     NotExtension,
     SizeMismatch,
+    TooLarge,
     antichain_order,
     bidirected_clique,
     boolean_order,
@@ -46,7 +47,9 @@ from orderdim import (
     two_level_order,
     undecided_pair,
 )
+from orderdim import reduction
 from orderdim.reduction import _critical_pair_frame
+from orderdim.serialize import MAX_INPUT_N
 from orderdim.relations import StrictOrder, transpose_rows
 from orderdim.rng import SplitMix64
 
@@ -390,3 +393,27 @@ def test_bitmask_undecided_pair_matches_loop_version(n, p, seed):
     assert undecided_pair(base, realizer) is None
     if singles:
         assert undecided_pair(base, singles) is None
+
+
+def test_pair_vertex_guard_fires_before_edges_are_built(monkeypatch):
+    # an antichain has m(m - 1) pair vertices, every one of them critical
+    def no_edges(*args):
+        raise AssertionError("pair digraph edges built past the guard")
+
+    monkeypatch.setattr(reduction, "_pair_edges", no_edges)
+    big = antichain_order(MAX_INPUT_N)
+    for build in (
+        pair_digraph,
+        lambda q: pair_digraph(q, incomparable_only=True),
+        critical_pair_digraph,
+    ):
+        with pytest.raises(TooLarge, match="pair vertex guard"):
+            build(big)
+
+
+def test_pair_vertex_guard_admits_its_own_size(monkeypatch):
+    monkeypatch.setattr(reduction, "MAX_PAIR_VERTICES", 12)
+    for build in (pair_digraph, critical_pair_digraph):
+        assert build(antichain_order(4))[0].n == 12
+        with pytest.raises(TooLarge):
+            build(antichain_order(5))

@@ -11,7 +11,8 @@ The canonical lines of every certificate campaign, the canonical
 fixed branching sequences and the homomorphism search and recheck over
 seeded digraph pairs are pinned the same way, and so are the total search
 nodes and the covers over sweeps of random digraphs and critical-pair
-digraphs under a fixed budget.
+digraphs under a fixed budget, and the budgets at which the homomorphism
+search and the minimal cycle enumeration stop running out.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from orderdim import (
     crown_order,
     dichromatic_number,
     find_homomorphism,
+    minimal_cycles,
     order_dimension,
     pair_digraph,
     random_digraph,
@@ -194,6 +196,83 @@ def test_homomorphism_outputs_are_pinned():
         }).encode())
     assert cycle_faults == 34
     assert h.hexdigest() == HOM_DIGEST
+
+
+def assert_budget_boundary(search, nodes):
+    """search(budget) settles at budget nodes and runs out at nodes - 1."""
+    search(nodes)
+    with pytest.raises(LimitExceeded):
+        search(nodes - 1)
+
+
+# Seeded digraph pairs (G, H) = (random_digraph(n, p, seed),
+# random_digraph(n - 2, p + 0.25, seed + 1)): the least budget with which
+# find_homomorphism, plain and minimal, settles without LimitExceeded
+HOM_STOPS = {
+    (6, 0.25, 0): (65, 65),
+    (6, 0.25, 1): (28, 28),
+    (6, 0.25, 2): (9, 9),
+    (6, 0.4, 0): (27, 72),
+    (6, 0.4, 1): (68, 68),
+    (6, 0.4, 2): (36, 36),
+    (6, 0.55, 0): (60, 56),
+    (6, 0.55, 1): (260, 260),
+    (6, 0.55, 2): (76, 68),
+    (8, 0.25, 0): (480, 402),
+    (8, 0.25, 1): (620, 620),
+    (8, 0.25, 2): (84, 84),
+    (8, 0.4, 0): (540, 540),
+    (8, 0.4, 1): (376, 174),
+    (8, 0.4, 2): (108, 108),
+    (8, 0.55, 0): (499, 499),
+    (8, 0.55, 1): (50, 258),
+    (8, 0.55, 2): (391, 391),
+    (10, 0.25, 0): (512, 256),
+    (10, 0.25, 1): (123, 496),
+    (10, 0.25, 2): (313, 288),
+    (10, 0.4, 0): (760, 328),
+    (10, 0.4, 1): (281, 368),
+    (10, 0.4, 2): (2968, 296),
+    (10, 0.55, 0): (4576, 520),
+    (10, 0.55, 1): (255, 2088),
+    (10, 0.55, 2): (6816, 1408),
+}
+
+
+def test_homomorphism_budget_stops_are_pinned():
+    for (n, p, seed), (plain, strict) in HOM_STOPS.items():
+        g = random_digraph(n, p, seed)
+        h = random_digraph(n - 2, min(p + 0.25, 0.95), seed + 1)
+        assert_budget_boundary(lambda b: find_homomorphism(g, h, budget=b), plain)
+        assert_budget_boundary(
+            lambda b: find_homomorphism(g, h, minimal=True, budget=b), strict
+        )
+
+
+# the least budget with which minimal_cycles(random_digraph(n, p, 0)) settles
+CYCLE_STOPS = {
+    (10, 0.2): 31,
+    (10, 0.35): 42,
+    (10, 0.5): 53,
+    (14, 0.2): 74,
+    (14, 0.35): 163,
+    (14, 0.5): 156,
+    (18, 0.2): 228,
+    (18, 0.35): 349,
+    (18, 0.5): 409,
+    (22, 0.2): 295,
+    (22, 0.35): 642,
+    (22, 0.5): 853,
+    (26, 0.2): 1020,
+    (26, 0.35): 1828,
+    (26, 0.5): 1710,
+}
+
+
+def test_minimal_cycle_budget_stops_are_pinned():
+    for (n, p), nodes in CYCLE_STOPS.items():
+        d = random_digraph(n, p, 0)
+        assert_budget_boundary(lambda b: minimal_cycles(d, budget=b), nodes)
 
 
 # sha256 of the canonical `orderdim chrom` output over a sweep of graphs
