@@ -30,6 +30,7 @@ from .errors import CycleInX, OrderdimError
 from .generate import (
     directed_cycle,
     enumerate_posets,
+    guard_enumeration,
     random_digraph,
     random_order,
     random_quasi,
@@ -508,21 +509,22 @@ def run_minimal_hom(n, seed, budget):
 
 
 # name -> (runner, default size bound n or None where the campaign has
-# none, least n: 1 where the runner draws instance sizes from 1..n)
+# none, least n: 1 where the runner draws instance sizes from 1..n,
+# whether it enumerates every poset on up to n points)
 CAMPAIGNS = {
-    "odim-eq-dicr": (run_odim_eq_dicr, 4, 0),
-    "dim-agreement": (run_dim_agreement, 6, 1),
-    "dim-landmarks": (run_dim_landmarks, None, 0),
-    "dicr-landmarks": (run_dicr_landmarks, None, 0),
-    "graph-collapse": (run_graph_collapse, 8, 1),
-    "h1plus": (run_h1plus, 4, 0),
-    "cyclefree-extends": (run_cyclefree_extends, 7, 0),
-    "roundtrip": (run_roundtrip, 4, 0),
-    "g0": (run_g0_objects, 3, 0),
-    "xinapg": (run_xinapg, 6, 1),
-    "hom-transfer": (run_hom_transfer, 6, 0),
-    "separators": (run_separators, 4, 0),
-    "minimal-hom": (run_minimal_hom, None, 0),
+    "odim-eq-dicr": (run_odim_eq_dicr, 4, 0, True),
+    "dim-agreement": (run_dim_agreement, 6, 1, False),
+    "dim-landmarks": (run_dim_landmarks, None, 0, False),
+    "dicr-landmarks": (run_dicr_landmarks, None, 0, False),
+    "graph-collapse": (run_graph_collapse, 8, 1, False),
+    "h1plus": (run_h1plus, 4, 0, True),
+    "cyclefree-extends": (run_cyclefree_extends, 7, 0, False),
+    "roundtrip": (run_roundtrip, 4, 0, True),
+    "g0": (run_g0_objects, 3, 0, False),
+    "xinapg": (run_xinapg, 6, 1, False),
+    "hom-transfer": (run_hom_transfer, 6, 0, False),
+    "separators": (run_separators, 4, 0, True),
+    "minimal-hom": (run_minimal_hom, None, 0, False),
 }
 
 
@@ -530,7 +532,7 @@ def run_campaign(name, n=None, seed=0, budget=None):
     """The campaign's certificates, streamed lazily. The name and n are
     checked here, before the first certificate is made."""
     try:
-        runner, default_n, least_n = CAMPAIGNS[name]
+        runner, default_n, least_n, enumerates = CAMPAIGNS[name]
     except KeyError:
         raise OrderdimError(
             f"unknown campaign {name!r}; choose from "
@@ -540,6 +542,8 @@ def run_campaign(name, n=None, seed=0, budget=None):
         n = default_n
     elif n < least_n:
         raise OrderdimError(f"campaign {name} needs n >= {least_n}, got {n}")
+    if enumerates:
+        guard_enumeration(n)
     return runner(
         n, seed, DEFAULT_SEARCH_BUDGET if budget is None else budget
     )

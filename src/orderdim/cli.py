@@ -8,9 +8,9 @@ default search budget; --budget overrides both.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .digraphs import find_homomorphism, verify_homomorphism
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .reduction import (
+    MAX_PAIR_EDGES,
     cover_to_extensions,
     extensions_to_cover,
     pair_digraph,
@@ -150,6 +151,12 @@ def _cmd_reduce(args, out) -> int:
     if args.what in ("ap", "bp"):
         base = _load(args.source, order_from_payload)
         d, pvm = pair_digraph(base, incomparable_only=args.what == "bp")
+        edges = d.edge_count()
+        if edges > MAX_PAIR_EDGES:
+            raise TooLarge(
+                f"{edges} pair edges exceed the pair edge guard of "
+                f"{MAX_PAIR_EDGES}"
+            )
         _emit(
             args,
             out,
@@ -157,7 +164,7 @@ def _cmd_reduce(args, out) -> int:
                 "digraph": digraph_payload(d),
                 "pairs": [list(p) for p in pvm.pairs],
             },
-            f"vertices={d.n} edges={d.edge_count()}",
+            f"vertices={d.n} edges={edges}",
         )
         return 0
     g = _load(args.source, digraph_from_payload)
@@ -373,6 +380,8 @@ def _cmd_verify(args, out) -> int:
     budget = _resolve_budget(args)
     try:
         certs = run_campaign(args.name, n=args.n, seed=args.seed, budget=budget)
+    except GUARD_ERRORS:
+        raise
     except OrderdimError as exc:
         raise UsageError(str(exc))
     total = 0
@@ -395,95 +404,112 @@ def _cmd_verify(args, out) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# Each argument is (name, keyword arguments of argparse's add_argument). A
+# name starting with - is an option: its flag, with its type, default and
+# choices, and whether it is store_true or required. Any other name is a
+# positional, with its choices, and optional when nargs is "?" (only as
+# the last positional).
+_COMMON = (
+    ("--format", {"choices": ("json", "text"), "default": "json"}),
+    ("--out", {"default": None, "metavar": "FILE"}),
+)
+_BUDGET = ("--budget", {"type": int, "default": None})
 
-def _add_common(sub, budget=True):
-    sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--out", default=None, metavar="FILE")
-    if budget:
-        sub.add_argument("--budget", type=int, default=None)
-
-
-def _dim_args(p):
-    p.add_argument("order")
-    _add_common(p)
-
-
-def _digraph_args(p):
-    p.add_argument("digraph")
-    _add_common(p)
-
-
-def _reduce_args(p):
-    p.add_argument("what", choices=("ap", "bp", "pg"))
-    p.add_argument("source")
-    _add_common(p, budget=False)
-
-
-def _convert_args(p):
-    p.add_argument("direction", choices=("cover-to-ext", "ext-to-cover"))
-    p.add_argument("order")
-    p.add_argument("witness")
-    _add_common(p, budget=False)
-
-
-def _g0_args(p):
-    p.add_argument("what", choices=("selector", "k", "density", "monotone"))
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--depth", type=int, default=None)
-    _add_common(p, budget=False)
-
-
-def _hom_args(p):
-    p.add_argument("what", choices=("find", "check"))
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("witness", nargs="?", default=None)
-    p.add_argument("--minimal", action="store_true")
-    _add_common(p)
-
-
-def _gen_args(p):
-    p.add_argument("kind", choices=tuple(GENERATORS))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, budget=False)
-
-
-def _enumerate_args(p):
-    p.add_argument("--n", type=int, default=4)
-    _add_common(p, budget=False)
-
-
-def _verify_args(p):
-    p.add_argument("name")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-
-# name -> (help line, handler, function adding its arguments), in the
-# order the full parser lists them
+# name -> (help line, handler, arguments), in the order the parser lists
+# them; build_parser hands the arguments to argparse and _fast_parse
+# reads the same entries
 SUBCOMMANDS = {
-    "dim": ("order dimension of a quasi order", _cmd_dim, _dim_args),
-    "dicr": ("dichromatic number of a digraph", _cmd_dicr, _digraph_args),
+    "dim": (
+        "order dimension of a quasi order",
+        _cmd_dim,
+        (("order", {}), *_COMMON, _BUDGET),
+    ),
+    "dicr": (
+        "dichromatic number of a digraph",
+        _cmd_dicr,
+        (("digraph", {}), *_COMMON, _BUDGET),
+    ),
     "chrom": (
-        "chromatic number of a symmetric digraph", _cmd_chrom, _digraph_args
+        "chromatic number of a symmetric digraph",
+        _cmd_chrom,
+        (("digraph", {}), *_COMMON, _BUDGET),
     ),
-    "reduce": ("order/digraph reductions", _cmd_reduce, _reduce_args),
-    "convert": ("witness conversions", _cmd_convert, _convert_args),
-    "g0": ("branching-tree digraphs and selectors", _cmd_g0, _g0_args),
-    "hom": ("digraph homomorphisms", _cmd_hom, _hom_args),
-    "gen": ("instance generators", _cmd_gen, _gen_args),
+    "reduce": (
+        "order/digraph reductions",
+        _cmd_reduce,
+        (
+            ("what", {"choices": ("ap", "bp", "pg")}),
+            ("source", {}),
+            *_COMMON,
+        ),
+    ),
+    "convert": (
+        "witness conversions",
+        _cmd_convert,
+        (
+            ("direction", {"choices": ("cover-to-ext", "ext-to-cover")}),
+            ("order", {}),
+            ("witness", {}),
+            *_COMMON,
+        ),
+    ),
+    "g0": (
+        "branching-tree digraphs and selectors",
+        _cmd_g0,
+        (
+            ("what", {"choices": ("selector", "k", "density", "monotone")}),
+            ("--sigma", {"required": True}),
+            ("--depth", {"type": int, "default": None}),
+            *_COMMON,
+        ),
+    ),
+    "hom": (
+        "digraph homomorphisms",
+        _cmd_hom,
+        (
+            ("what", {"choices": ("find", "check")}),
+            ("g", {}),
+            ("h", {}),
+            ("witness", {"nargs": "?", "default": None}),
+            ("--minimal", {"action": "store_true"}),
+            *_COMMON,
+            _BUDGET,
+        ),
+    ),
+    "gen": (
+        "instance generators",
+        _cmd_gen,
+        (
+            ("kind", {"choices": tuple(GENERATORS)}),
+            ("--n", {"type": int, "default": 4}),
+            ("--p", {"type": float, "default": 0.3}),
+            ("--seed", {"type": int, "default": 0}),
+            *_COMMON,
+        ),
+    ),
     "enumerate": (
-        "labeled posets on exactly n points", _cmd_enumerate, _enumerate_args
+        "labeled posets on exactly n points",
+        _cmd_enumerate,
+        (("--n", {"type": int, "default": 4}), *_COMMON),
     ),
-    "verify": ("run a certificate campaign", _cmd_verify, _verify_args),
+    "verify": (
+        "run a certificate campaign",
+        _cmd_verify,
+        (
+            ("name", {}),
+            ("--n", {"type": int, "default": None}),
+            ("--seed", {"type": int, "default": 0}),
+            *_COMMON,
+            _BUDGET,
+        ),
+    ),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The orderdim parser, with every subcommand or only the one named."""
+def build_parser():
+    """The orderdim argparse.ArgumentParser, built from SUBCOMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orderdim",
         description=(
@@ -492,28 +518,96 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, handler, add_args) in SUBCOMMANDS.items():
-        if command in (None, name):
-            p = subs.add_parser(name, help=help_line)
-            add_args(p)
-            p.set_defaults(handler=handler)
+    for name, (help_line, handler, arguments) in SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=help_line)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _parse(argv):
-    """Parse argv, building only the parser of the command it names.
+def _plain_value(kwargs, text):
+    """text as argparse stores it for the argument, or None where argparse
+    would refuse it."""
+    kind = kwargs.get("type")
+    if kind is not None:
+        try:
+            text = kind(text)
+        except ValueError:
+            return None
+    choices = kwargs.get("choices")
+    return text if choices is None or text in choices else None
 
-    Past its first argument the top-level parser only passes the rest
-    to the command's parser, which prints its own usage, help and
-    errors. The one exception is arguments the command leaves over:
-    the full parser reports those, under the full usage line.
+
+def _fast_parse(argv):
+    """The namespace build_parser() would return for a plain argv, or None.
+
+    Plain is a subcommand, then its positionals and options, each option
+    spelled out in full with its value as the next argument. None, to
+    leave every help text, usage line and error to argparse, for: -h or
+    --help; an argument starting with - (a negative number included),
+    other than - itself, that is not exactly one of the subcommand's
+    options; a missing, extra or out-of-choice positional; a value its
+    type rejects; a missing required option; and an option between the
+    positionals of a subcommand with an optional positional, since
+    argparse then gives the optional one no value and refuses the rest.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
-        return build_parser().parse_args(argv)
-    args, extra = build_parser(argv[0]).parse_known_args(argv)
-    if extra:
-        build_parser().parse_args(argv)
-    return args
+        return None
+    _, handler, arguments = SUBCOMMANDS[argv[0]]
+    positionals, options, ns = [], {}, {"command": argv[0]}
+    for name, kwargs in arguments:
+        if name[0] != "-":
+            positionals.append((name, kwargs))
+            continue
+        options[name] = kwargs
+        if not kwargs.get("required"):
+            store_true = kwargs.get("action") == "store_true"
+            ns[name[2:]] = False if store_true else kwargs.get("default")
+    gapless = any(kwargs.get("nargs") == "?" for _, kwargs in positionals)
+    given, interrupted = [], False
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-" or arg == "-":
+            if interrupted and gapless:
+                return None
+            given.append(arg)
+            continue
+        kwargs = options.get(arg)
+        if kwargs is None:
+            return None
+        interrupted = bool(given)
+        if kwargs.get("action") == "store_true":
+            ns[arg[2:]] = True
+            continue
+        text = next(rest, None)
+        if text is None or text[:1] == "-" and text != "-":
+            return None
+        value = _plain_value(kwargs, text)
+        if value is None:
+            return None
+        ns[arg[2:]] = value
+    if any(name[2:] not in ns for name in options):
+        return None
+    least = sum(kwargs.get("nargs") != "?" for _, kwargs in positionals)
+    if not least <= len(given) <= len(positionals):
+        return None
+    for i, (name, kwargs) in enumerate(positionals):
+        if i >= len(given):
+            ns[name] = kwargs.get("default")
+            continue
+        value = _plain_value(kwargs, given[i])
+        if value is None:
+            return None
+        ns[name] = value
+    ns["handler"] = handler
+    return SimpleNamespace(**ns)
+
+
+def _parse(argv):
+    """Plain command lines from the table, the rest through argparse, so
+    every help text, usage line and error is argparse's own."""
+    return _fast_parse(argv) or build_parser().parse_args(argv)
 
 
 def run(argv) -> int:

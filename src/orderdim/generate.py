@@ -110,18 +110,29 @@ def bidirected_clique(n: int) -> Digraph:
     )
 
 
+# the census of labeled posets is 130,023 on 6 points and 6,129,859 on 7
+MAX_ENUMERATE_N = 6
+
+
+def guard_enumeration(n: int) -> None:
+    """Refuse n as enumerate_posets does, before any poset is made."""
+    if n < 0:
+        raise IndexOutOfRange(f"negative ground set size {n}")
+    if n > MAX_ENUMERATE_N:
+        raise TooLarge(
+            f"poset enumeration guarded to n <= {MAX_ENUMERATE_N}, got {n}"
+        )
+
+
 def enumerate_posets(n: int):
     """Every labeled poset on 0..n-1 exactly once, deterministically.
 
     Vertices join one at a time; each step picks a down-set closed under
     predecessors, an up-set closed under successors, disjoint, and with
     every chosen lower element already under every chosen upper one.
-    Guarded to n <= 6, where the census is still a few hundred thousand.
+    Guarded to n <= MAX_ENUMERATE_N.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"negative ground set size {n}")
-    if n > 6:
-        raise TooLarge(f"poset enumeration guarded to n <= 6, got {n}")
+    guard_enumeration(n)
     for up_rows in _strict_rows(n):
         rows = tuple((1 << i) | up_rows[i] for i in range(n))
         yield QuasiOrder(n, rows)

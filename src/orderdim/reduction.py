@@ -61,6 +61,11 @@ class PairVertexMap(Record):
 # vertex count squared bits, so a larger one is refused before it is built
 MAX_PAIR_VERTICES = 1 << 14
 
+# the most edges `reduce ap` and `reduce bp` list as JSON pairs: a million
+# take about 1.5 s and 150 MB, and a pair digraph under the vertex guard
+# can have tens of millions
+MAX_PAIR_EDGES = 1 << 20
+
 
 def _pair_ends(q: QuasiOrder) -> list[int]:
     """ends[x] holds each y with (x, y) a pair vertex: y not below x."""

@@ -11,10 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orderdim
 from orderdim.campaigns import CAMPAIGNS
-from orderdim.cli import _parse, build_parser, main, run
+from orderdim.cli import SUBCOMMANDS, _fast_parse, build_parser, main, run
 
 from .test_search_identity import CAMPAIGN_DIGESTS
 
@@ -320,6 +322,25 @@ def test_pair_digraph_guard_exits_three_at_once(capsys, tmp_path):
         assert code == 3 and out == "" and "pair vertex guard" in err, argv
 
 
+def test_reduce_edge_guard_exits_three_at_once(capsys, tmp_path):
+    # a chain of 80 has 3,160 pair vertices, under the vertex guard, and
+    # 1,663,740 edges; an antichain of 128 has 2,064,512 between
+    # incomparable pairs
+    chain80, chain70, anti = (
+        str(tmp_path / name) for name in ("c80.json", "c70.json", "a.json")
+    )
+    assert main(["gen", "chain", "--n", "80", "--out", chain80]) == 0
+    assert main(["gen", "chain", "--n", "70", "--out", chain70]) == 0
+    assert main(["gen", "antichain", "--n", "128", "--out", anti]) == 0
+    for argv in (["reduce", "ap", chain80], ["reduce", "bp", anti]):
+        t0 = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - t0 < 1, argv
+        assert code == 3 and out == "" and "pair edge guard" in err, argv
+    code, out, _ = invoke(capsys, "reduce", "ap", chain70, "--format", "text")
+    assert code == 0 and out == "vertices=2415 edges=971635\n"
+
+
 def test_bool_declared_size_is_usage_error(capsys, tmp_path):
     # bool is an int in Python, so true would otherwise read as n = 1
     flag = write(tmp_path, "flag.json", {"kind": "digraph", "n": True, "edges": []})
@@ -484,6 +505,20 @@ def test_verify_n_below_the_least_size_is_usage_error(capsys, name):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, entry in CAMPAIGNS.items() if entry[3])
+)
+def test_verify_refuses_enumeration_above_its_guard_at_once(capsys, name):
+    # these campaigns enumerate every poset up to n; 7 would run every
+    # smaller size first, 130,023 posets on 6 points among them
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "verify", name, "--n", "7")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: poset enumeration guarded to n <= 6, got 7\n"
+    assert invoke(capsys, "enumerate", "--n", "7") == (3, "", err)
+
+
 def test_verify_output_bytes_are_seed_stable(tmp_path):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     assert main(["verify", "cyclefree-extends", "--n", "4",
@@ -561,22 +596,129 @@ def test_cli_surface_bytes_are_pinned(capsys, monkeypatch):
         assert _surface(capsys, lambda: run(key.split())) == digest, key
 
 
-def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+def test_parse_matches_the_argparse_parser(capsys, monkeypatch):
+    # every surface key is help or a usage error, which the fast path
+    # leaves to argparse
     monkeypatch.setenv("COLUMNS", "80")
     for key in SURFACE_DIGESTS:
         argv = key.split()
+        assert _fast_parse(argv) is None, key
         fast = _surface(capsys, lambda: run(argv))
         full = _surface(capsys, lambda: build_parser().parse_args(argv))
         assert fast == full, key
     for argv in (
         ["dim", "o.json", "--budget", "5", "--format", "text"],
+        ["dim", "--budget", "5", "-"],
+        ["hom", "find", "g.json", "h.json"],
         ["hom", "check", "g.json", "h.json", "w.json", "--minimal"],
+        ["hom", "--minimal", "find", "g.json", "h.json", "--budget", "7"],
+        ["convert", "cover-to-ext", "o.json", "--out", "-", "c.json"],
         ["gen", "crown", "--n", "3", "--out", "c.json"],
+        ["gen", "poset", "--p", "1e-1", "--seed", "1_0"],
         ["g0", "density", "--sigma", "2,3", "--depth", "1"],
         ["enumerate"],
         ["verify", "g0", "--n", "2", "--seed", "4"],
     ):
-        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+        fast = _fast_parse(argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(build_parser().parse_args(argv)), argv
+    # argparse gives hom's optional witness no value once an option
+    # interrupts the positionals, and then refuses the witness
+    argv = ["hom", "find", "g.json", "h.json", "--minimal", "w.json"]
+    assert _fast_parse(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+_FLAGS = sorted(
+    {name for _, _, args in SUBCOMMANDS.values() for name, _ in args
+     if name.startswith("-")}
+)
+_CHOICES = sorted(
+    {c for _, _, args in SUBCOMMANDS.values() for _, kw in args
+     for c in kw.get("choices", ())}
+)
+_JUNK = ("x.json", "-", "", "2,3", "1_0", "+2", " 3", "0x1", "2.5", "-0.5",
+         "nan", "1e-3", "-1", "-x", "--", "-h", "--help", "--bogus")
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats(-2, 2).map(repr),
+    st.sampled_from(_CHOICES),
+    st.sampled_from(_JUNK),
+)
+_PIECES = st.one_of(
+    _VALUES,
+    st.sampled_from(sorted(SUBCOMMANDS)),
+    st.sampled_from(_FLAGS),
+    # abbreviations of the flags
+    st.sampled_from(sorted({f[:k] for f in _FLAGS for k in range(3, len(f))})),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), _VALUES),
+)
+
+
+def _value_of(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return st.integers(0, 60).map(str)
+    if kwargs.get("type") is float:
+        return st.floats(0, 1).map(repr)
+    return st.sampled_from(("x.json", "-", "2,3", "", "-x", "--n"))
+
+
+@st.composite
+def _plain_argv(draw):
+    """A command line close to well-formed: its options anywhere among
+    the positionals, a required one sometimes left out, and sometimes
+    one random piece inserted."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    positionals, groups = [], []
+    for name, kwargs in SUBCOMMANDS[command][2]:
+        if not name.startswith("-"):
+            if kwargs.get("nargs") != "?" or draw(st.booleans()):
+                positionals.append(draw(_value_of(kwargs)))
+        elif draw(st.booleans()):
+            value = kwargs.get("action") != "store_true"
+            groups.append([name, *([draw(_value_of(kwargs))] * value)])
+    # slots[i] holds the options placed before positional i
+    slots = [[] for _ in range(len(positionals) + 1)]
+    for group in groups:
+        slots[draw(st.integers(0, len(positionals)))] += group
+    argv = [command, *slots[0]]
+    for word, options in zip(positionals, slots[1:]):
+        argv += [word, *options]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_PIECES))
+    return argv
+
+
+def _items(args):
+    # repr, so that a nan --p equals itself and 1 differs from 1.0 and True
+    return sorted((key, repr(value)) for key, value in vars(args).items())
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    _plain_argv(),
+    # random pieces, after a subcommand or not
+    st.builds(
+        list.__add__,
+        st.lists(st.sampled_from(sorted(SUBCOMMANDS)), max_size=1),
+        st.lists(_PIECES, max_size=8),
+    ),
+))
+@example(["hom", "find", "g.json", "h.json", "--minimal", "w.json"])
+@example(["gen", "poset", "--p", "nan"])
+def test_fast_parse_accepts_only_what_argparse_parses_alike(argv):
+    fast = _fast_parse(argv)
+    if fast is None:
+        return
+    try:
+        full = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"argparse exits {exc.code} on {argv}")
+    assert _items(fast) == _items(full), argv
 
 
 def test_closed_stdout_pipe_exits_two():
@@ -603,32 +745,50 @@ def test_cold_imports_skip_dataclasses_and_campaigns(tmp_path, crown, c3):
         proc = child("-c", code, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err.decode()
-    # a request loads only what its subcommand runs
+    # a well-formed request loads only what its subcommand runs, and not
+    # argparse, which only help and usage errors need
     chain = write(
         tmp_path, "chain.json",
         {"kind": "quasi", "n": 3, "pairs": [[0, 1], [0, 2], [1, 2]]},
     )
     cover = write(tmp_path, "cover.json", {"classes": [[0, 1, 2]]})
-    skipped = ("check", "generate", "rng", "selectors", "campaigns")
     code = (
         "import sys; from orderdim.cli import main; "
-        "code = main(sys.argv[1:]); "
-        f"loaded = [m for m in {[f'orderdim.{m}' for m in skipped]!r} "
-        "if m in sys.modules]; "
+        "code = main(sys.argv[2:]); "
+        "loaded = [m for m in sys.argv[1].split(',') if m in sys.modules]; "
         "assert code == 0 and not loaded, (code, loaded)"
     )
-    for argv in (
-        ["dim", crown],
-        ["dicr", c3],
-        ["reduce", "ap", crown],
-        ["convert", "cover-to-ext", chain, cover],
+    light = ("check", "generate", "rng", "selectors", "campaigns")
+    for argv, skipped in (
+        (["dim", crown], light),
+        (["dicr", c3], light),
+        (["reduce", "ap", crown], light),
+        (["convert", "cover-to-ext", chain, cover], light),
+        (["g0", "selector", "--sigma", "2,2"], light[:3] + light[4:]),
+        (["hom", "find", c3, c3], light),
+        (["gen", "crown", "--n", "3"], ("check", "selectors", "campaigns")),
+        (["enumerate", "--n", "2"], ("check", "selectors", "campaigns")),
+        (["verify", "g0", "--n", "1"], ()),
     ):
+        names = ",".join(
+            ["argparse", "gettext", *(f"orderdim.{m}" for m in skipped)]
+        )
         proc = child(
-            "-c", code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            "-c", code, names, *argv,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, (argv, err.decode())
         assert out
+    proc = child(
+        "-c",
+        "import sys; from orderdim.cli import main; "
+        "assert main(['dim', '-h']) == 0 and 'argparse' in sys.modules",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
+    assert out.startswith(b"usage: orderdim dim")
 
 
 def test_import_does_not_load_numpy():
