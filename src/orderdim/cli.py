@@ -108,6 +108,24 @@ def _emit(args, out, payload: dict, text: str) -> None:
     out.write(dumps(payload) if args.format == "json" else text + "\n")
 
 
+def _without_gc(write) -> None:
+    """write() with the cyclic collector paused, then restored.
+
+    A large payload is millions of small lists and no reference cycle,
+    so collections that run while it is built and dumped find nothing to
+    free; they took about half the time of listing one.
+    """
+    import gc
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        write()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------- handlers
 
 
@@ -157,14 +175,16 @@ def _cmd_reduce(args, out) -> int:
                 f"{edges} pair edges exceed the pair edge guard of "
                 f"{MAX_PAIR_EDGES}"
             )
-        _emit(
-            args,
-            out,
-            {
-                "digraph": digraph_payload(d),
-                "pairs": [list(p) for p in pvm.pairs],
-            },
-            f"vertices={d.n} edges={edges}",
+        _without_gc(
+            lambda: _emit(
+                args,
+                out,
+                {
+                    "digraph": digraph_payload(d),
+                    "pairs": [list(p) for p in pvm.pairs],
+                },
+                f"vertices={d.n} edges={edges}",
+            )
         )
         return 0
     g = _load(args.source, digraph_from_payload)
@@ -354,7 +374,7 @@ def _cmd_gen(args, out) -> int:
     except IndexOutOfRange as exc:
         # crown and cycle have a least size of their own
         raise UsageError(str(exc))
-    out.write(dumps(payload(instance)))
+    _without_gc(lambda: out.write(dumps(payload(instance))))
     return 0
 
 

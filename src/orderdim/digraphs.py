@@ -110,7 +110,19 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
     Each path vertex keeps a mask of the neighbours it has not stepped to
     yet; its next step is the least of them that is not done. A grey one
     closes the returned cycle, any other is stepped to.
+
+    With no self-loops, at most two vertices a < b hold a cycle only when
+    both edges join them, and then the search returns (a, b).
     """
+    rest = mask & (mask - 1)
+    if not rest & (rest - 1):
+        if not rest:
+            return None
+        a = (mask ^ rest).bit_length() - 1
+        b = rest.bit_length() - 1
+        if rows[a] & rest and rows[b] >> a & 1:
+            return Cycle((a, b))
+        return None
     done = 0
     left = mask
     while left:

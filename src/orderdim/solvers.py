@@ -147,6 +147,12 @@ def _assign_classes(
     limit = [0] * m
     trial = [0] * m
     masks = [0] * k
+    # depth-indexed out-rows, in-rows and bits of the vertices, and each
+    # vertex's out-row under its bit for the forward steps
+    outs = [rows[v] for v in order]
+    ins = [cols[v] for v in order]
+    vbits = [1 << v for v in order]
+    out_of = {1 << v: rows[v] for v in order}
     nodes = counter[0]
     depth = 0
     while True:
@@ -156,23 +162,22 @@ def _assign_classes(
             if depth < 0:
                 counter[0] = nodes
                 return None
-            masks[assign[depth]] ^= 1 << order[depth]
+            masks[assign[depth]] ^= vbits[depth]
             trial[depth] += 1
             continue
         nodes += 1
         if nodes > budget:
             counter[0] = nodes
             raise LimitExceeded(budget, "acyclic cover search")
-        v = order[depth]
         members = masks[c]
-        into = cols[v] & members
+        into = ins[depth] & members
         if into:
-            seen = front = rows[v] & members
+            seen = front = outs[depth] & members
             while front and not front & into:
                 step = 0
                 while front:
                     low = front & -front
-                    step |= rows[low.bit_length() - 1]
+                    step |= out_of[low]
                     front ^= low
                 front = step & members & ~seen
                 seen |= front
@@ -180,7 +185,7 @@ def _assign_classes(
                 trial[depth] += 1
                 continue
         assign[depth] = c
-        masks[c] = members | (1 << v)
+        masks[c] = members | vbits[depth]
         if depth == m - 1:
             counter[0] = nodes
             return assign

@@ -24,7 +24,18 @@ from orderdim import (
     extend_by_pairs,
     linear_extension,
 )
-from orderdim.relations import bits_of, transpose_rows
+
+
+def members(mask: int) -> list[int]:
+    """Set bit positions of mask, ascending, read off its binary digits."""
+    return [j for j, digit in enumerate(reversed(format(mask, "b"))) if digit == "1"]
+
+
+def columns(rows, n: int) -> list[int]:
+    """Column masks of the n×n bit matrix with these rows: the rows are
+    written out as binary digits, lowest first, and read back by column."""
+    digits = [format(row, f"0{n}b")[::-1] for row in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*digits)]
 
 
 def subset_is_acyclic(d: Digraph, members: tuple[int, ...]) -> bool:
@@ -62,7 +73,7 @@ def colour_dfs_is_acyclic(d: Digraph, subset=None):
             continue
         color[start] = 1
         path = [start]
-        stack = [iter(bits_of(d.rows[start] & mask))]
+        stack = [iter(members(d.rows[start] & mask))]
         while stack:
             advanced = False
             for w in stack[-1]:
@@ -72,7 +83,7 @@ def colour_dfs_is_acyclic(d: Digraph, subset=None):
                 if cw is None:
                     color[w] = 1
                     path.append(w)
-                    stack.append(iter(bits_of(d.rows[w] & mask)))
+                    stack.append(iter(members(d.rows[w] & mask)))
                     advanced = True
                     break
             if not advanced:
@@ -280,8 +291,8 @@ def loop_extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     for rb, re in zip(base.rows, ext.rows):
         if rb & ~re:
             return False
-    bcols = transpose_rows(base.rows, base.n)
-    ecols = transpose_rows(ext.rows, ext.n)
+    bcols = columns(base.rows, base.n)
+    ecols = columns(ext.rows, ext.n)
     for i in range(base.n):
         if (base.rows[i] & bcols[i]) != (ext.rows[i] & ecols[i]):
             return False
@@ -328,7 +339,7 @@ def walk_strict_order(n: int, rows: tuple[int, ...]) -> None:
         if (row >> i) & 1:
             raise NotStrictOrder(f"not irreflexive at {i}")
     for i, row in enumerate(rows):
-        for j in bits_of(row):
+        for j in members(row):
             if rows[j] & ~row:
                 raise NotStrictOrder(f"not transitive through ({i}, {j})")
 

@@ -13,10 +13,13 @@ from orderdim import (
     Digraph,
     HomWitness,
     IndexOutOfRange,
+    AcyclicCover,
+    InvalidCover,
     LimitExceeded,
     NotADigraph,
     SizeMismatch,
     bidirected_clique,
+    check_cover,
     digraph,
     directed_cycle,
     find_homomorphism,
@@ -105,6 +108,35 @@ def test_is_acyclic_returns_the_colour_dfs_witness():
                 with pytest.raises(IndexOutOfRange):
                     is_acyclic(d, bad)
     assert cyclic >= 100 and acyclic >= 100
+
+
+def _small_classes(n, data):
+    """The vertices in drawn order, cut into classes of 0 to 3 vertices
+    by drawn sizes; the vertices left over form singletons."""
+    order = data.draw(st.permutations(range(n)))
+    classes, start = [], 0
+    for size in data.draw(st.lists(st.integers(0, 3), max_size=n + 1)):
+        classes.append(tuple(order[start : start + size]))
+        start += size
+    return classes + [(v,) for v in order[start:]]
+
+
+@given(digraphs(), st.data())
+@settings(max_examples=200)
+def test_small_classes_get_the_colour_dfs_verdict_and_witness(d, data):
+    classes = _small_classes(d.n, data)
+    for cls in classes:
+        assert is_acyclic(d, cls) == colour_dfs_is_acyclic(d, cls)
+    cover = AcyclicCover(classes)
+    verdicts = [(cls, colour_dfs_is_acyclic(d, cls)) for cls in cover.classes]
+    cyclic = [(cls, cycle) for cls, cycle in verdicts if cycle is not True]
+    if not cyclic:
+        check_cover(d, cover)
+        return
+    with pytest.raises(InvalidCover) as exc:
+        check_cover(d, cover)
+    cls, cycle = cyclic[0]
+    assert str(exc.value) == f"class {cls} holds cycle {cycle.verts}"
 
 
 @given(digraphs())

@@ -50,10 +50,10 @@ from orderdim import (
 from orderdim import reduction
 from orderdim.reduction import _critical_pair_frame
 from orderdim.serialize import MAX_INPUT_N
-from orderdim.relations import StrictOrder, transpose_rows
+from orderdim.relations import StrictOrder
 from orderdim.rng import SplitMix64
 
-from .oracles import critical_pairs, loop_undecided_pair
+from .oracles import columns, critical_pairs, loop_undecided_pair
 
 
 def test_pair_digraph_of_three_chain():
@@ -113,7 +113,7 @@ def test_pair_digraph_matches_its_definition():
 def test_critical_pair_frame_columns_are_the_transpose():
     for q in _pair_digraph_orders():
         cp, _, _, cols = _critical_pair_frame(q)
-        assert cols == transpose_rows(cp.rows, cp.n)
+        assert cols == columns(cp.rows, cp.n)
 
 
 def test_critical_pairs_of_a_crown_are_its_matched_pairs():

@@ -25,11 +25,14 @@ from orderdim import (
     random_quasi,
 )
 from orderdim.errors import IndexOutOfRange
-from orderdim.relations import close_rows
+from orderdim.relations import bits_of, close_rows, transpose_rows
+from orderdim.rng import SplitMix64
 
 from .oracles import (
+    columns,
     loop_linear_extension,
     loop_quotient,
+    members,
     relation_is_reflexive,
     relation_is_transitive,
     walk_quasi_order,
@@ -283,3 +286,63 @@ def test_transitivity_kernel_names_the_least_witness():
     assert str(err.value) == "transitivity fails at (0, 2, 1)"
     with pytest.raises(NotStrictOrder, match=r"^not transitive through \(0, 2\)$"):
         StrictOrder(4, (0b1100, 0b0000, 0b0010, 0b0100))
+
+
+# the sizes on either side of each change of transpose_rows' method or
+# block width
+BLOCK_EDGES = (5, 6, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129, 256, 257)
+
+
+def _rows(n, p, seed):
+    """n rows of n bits, each set with probability p."""
+    bits = SplitMix64(seed).hits(n * n, p)
+    full = (1 << n) - 1
+    return [bits >> (i * n) & full for i in range(n)]
+
+
+def test_transpose_rows_matches_columns_at_every_size():
+    rng = random.Random(21)
+    for n in range(301):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        assert transpose_rows(rows, n) == columns(rows, n), n
+    for n in BLOCK_EDGES:
+        for p in (0.0, 0.5, 1.0):
+            rows = tuple(_rows(n, p, n))
+            assert transpose_rows(rows, n) == columns(rows, n), (n, p)
+
+
+@given(
+    st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(0, 300)),
+    st.floats(0, 1),
+    st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_transpose_rows_matches_columns_at_any_density(n, p, seed):
+    rows = _rows(n, p, seed)
+    assert transpose_rows(rows, n) == columns(rows, n)
+
+
+def _around(edge):
+    return st.integers(max(0, edge - 2**12), edge + 2**12)
+
+
+@given(
+    st.one_of(
+        st.sampled_from([0, 1, 2**24 - 1, 2**24]),
+        _around(2**8),
+        _around(2**16),
+        _around(2**24),
+        st.integers(0, 2**300),
+    )
+)
+@settings(max_examples=300)
+def test_bits_of_lists_the_set_bits_in_order(mask):
+    assert list(bits_of(mask)) == members(mask)
+
+
+def test_bits_of_reads_every_byte_of_each_table():
+    for b in range(256):
+        for shift in (0, 8, 16):
+            for rest in (0, 0x800001 & ~(0xFF << shift)):
+                mask = b << shift | rest
+                assert list(bits_of(mask)) == members(mask), mask

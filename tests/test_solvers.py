@@ -32,11 +32,11 @@ from orderdim import (
     random_symmetric,
     realizer_oracle,
 )
-from orderdim.relations import bits_of, transpose_rows
+from orderdim.relations import transpose_rows
 from orderdim.rng import SplitMix64
 from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
 
-from .oracles import brute_chrom, brute_dicr, subset_is_acyclic
+from .oracles import brute_chrom, brute_dicr, members, subset_is_acyclic
 
 
 def digraphs(max_n: int = 5):
@@ -284,7 +284,7 @@ def _least_realizer_by_permutations(q, max_d):
     m = qt.size
     if m <= 1:
         return 0
-    lt = {(a, b) for a in range(m) for b in bits_of(qt.lt_rows[a])}
+    lt = {(a, b) for a in range(m) for b in members(qt.lt_rows[a])}
     linears = []
     for perm in itertools.permutations(range(m)):
         pairs = frozenset(itertools.combinations(perm, 2))
