@@ -118,16 +118,20 @@ def _transpose_block(rows, n: int) -> list[int]:
     ]
 
 
-def _byte_bits(offset: int) -> list[tuple[int, ...]]:
-    """Entry b lists the set bits of byte b, plus offset, ascending."""
+def _byte_bits() -> list[tuple[int, ...]]:
+    """Entry b lists the set bits of byte b, ascending."""
     table: list[tuple[int, ...]] = [()]
-    for j in range(offset, offset + 8):
+    for j in range(8):
         table += [bits + (j,) for bits in table]
     return table
 
 
+_BITS0 = _byte_bits()
+
+
 class _LazyByteBits(dict):
-    """_byte_bits(offset) filled in as bytes are first asked for."""
+    """Entry b lists the set bits of byte b plus offset, ascending; filled
+    in as bytes are first asked for."""
 
     __slots__ = ("offset",)
 
@@ -135,11 +139,10 @@ class _LazyByteBits(dict):
         self.offset = offset
 
     def __missing__(self, b: int) -> tuple[int, ...]:
-        bits = self[b] = tuple(j + self.offset for j in range(8) if b >> j & 1)
+        bits = self[b] = tuple(j + self.offset for j in _BITS0[b])
         return bits
 
 
-_BITS0 = _byte_bits(0)
 _BITS1 = _LazyByteBits(8)
 _BITS2 = _LazyByteBits(16)
 
