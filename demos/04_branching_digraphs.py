@@ -1,4 +1,4 @@
-"""Branching-tree digraphs: selectors, increment edges, canonical cycles.
+"""Branching-tree digraphs: dense selector, increment edges, canonical cycles.
 
 Vertices are the leaves of a finite branching tree with factors sigma.
 At level k, edges increment coordinate k modulo sigma(k), but only below
@@ -9,8 +9,8 @@ Run: python demos/04_branching_digraphs.py
 """
 
 from orderdim import (
-    DenseSelector,
     canonical_cycles,
+    dense_selector,
     density_report,
     dichromatic_number,
     level_edge_count,
@@ -24,21 +24,20 @@ def main() -> None:
     print("sequence enumeration by weight, then shortlex:")
     print("  ", [nth_sequence(l) for l in range(8)])
 
-    sel = DenseSelector()
     for sigma in [(2,), (3,), (2, 2), (2, 3)]:
-        kd = selector_digraph(sel, sigma)
-        cycles = canonical_cycles(sel, sigma)
+        kd = selector_digraph(sigma)
+        cycles = canonical_cycles(sigma)
         per_level = [level_edge_count(sigma, k) for k in range(len(sigma))]
         print(
-            f"sigma={sigma}: selector {sel(sigma)}, "
+            f"sigma={sigma}: selector {dense_selector(sigma)}, "
             f"{kd.graph.n} vertices, edges/level {per_level}, "
             f"{len(cycles)} canonical cycles, "
             f"needs {dichromatic_number(kd.graph).k} acyclic classes"
         )
 
     # The selector is dense: within the checked depth every tree node is
-    # an initial segment of some selector value.
-    rep = density_report(sel, (2, 2), 2)
+    # an initial segment of the value it selects at some level.
+    rep = density_report((2, 2), 2)
     print(
         f"density at depth 2 over (2, 2): {len(rep.witnessed)} witnessed, "
         f"{len(rep.unresolved)} unresolved, {len(rep.violations)} violations"
@@ -47,8 +46,8 @@ def main() -> None:
 
     # Monotonicity of branching factors along selected prefixes depends
     # on the order they appear in.
-    print("monotone (2, 3):", prefix_monotone(sel, (2, 3)))
-    print("monotone (3, 2):", prefix_monotone(sel, (3, 2)))
+    print("monotone (2, 3):", prefix_monotone((2, 3)))
+    print("monotone (3, 2):", prefix_monotone((3, 2)))
 
 
 if __name__ == "__main__":

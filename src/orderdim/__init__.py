@@ -26,7 +26,7 @@ _SUBMODULE = {
         ),
         (
             "errors",
-            "BadPair BadSelector BranchTooLarge CycleInX IncompleteFamily "
+            "BadPair BranchTooLarge CycleInX IncompleteFamily "
             "IndexOutOfRange InvalidCover LimitExceeded NotADigraph NotAGraph "
             "NotApplicable NotExtension NotQuasiOrder NotStrictOrder "
             "OrderdimError SizeMismatch TooLarge",
@@ -53,7 +53,7 @@ _SUBMODULE = {
         ("rng", "SplitMix64"),
         (
             "selectors",
-            "DenseSelector DensityReport SelectorDigraph canonical_cycles "
+            "DensityReport SelectorDigraph canonical_cycles dense_selector "
             "density_report level_edge_count monotone_counterexample "
             "nth_sequence prefix_monotone selector_digraph sequence_index",
         ),

@@ -49,12 +49,7 @@ from .reduction import (
 from .records import Record, set_slot
 from .relations import bits_of
 from .rng import SplitMix64
-from .selectors import (
-    DenseSelector,
-    canonical_cycles,
-    level_edge_count,
-    prefix_monotone,
-)
+from .selectors import canonical_cycles, level_edge_count, prefix_monotone
 from .serialize import (
     cover_payload,
     digraph_payload,
@@ -338,7 +333,6 @@ def run_roundtrip(n, seed, budget):
 def run_g0_objects(n, seed, budget):
     max_len = min(n, 3)
     config = {"max_len": max_len, "max_branch": 4}
-    sel = DenseSelector()
     sigmas = [
         sigma
         for length in range(max_len + 1)
@@ -349,8 +343,8 @@ def run_g0_objects(n, seed, budget):
             "level_edges": [
                 level_edge_count(sigma, k) for k in range(len(sigma))
             ],
-            "canonical_cycles": len(canonical_cycles(sel, sigma)),
-            "monotone": prefix_monotone(sel, sigma),
+            "canonical_cycles": len(canonical_cycles(sigma)),
+            "monotone": prefix_monotone(sigma),
         }
         yield _cert(
             "g0_objects",

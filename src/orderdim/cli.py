@@ -225,8 +225,8 @@ def _cmd_convert(args, out) -> int:
 
 def _cmd_g0(args, out) -> int:
     from .selectors import (
-        DenseSelector,
         canonical_cycles,
+        dense_selector,
         density_report,
         level_edge_count,
         monotone_counterexample,
@@ -234,9 +234,8 @@ def _cmd_g0(args, out) -> int:
     )
 
     sigma = _parse_sigma(args.sigma)
-    sel = DenseSelector()
     if args.what == "selector":
-        val = sel(sigma)
+        val = dense_selector(sigma)
         _emit(
             args,
             out,
@@ -245,8 +244,8 @@ def _cmd_g0(args, out) -> int:
         )
         return 0
     if args.what == "k":
-        kd = selector_digraph(sel, sigma)
-        cycles = canonical_cycles(sel, sigma)
+        kd = selector_digraph(sigma)
+        cycles = canonical_cycles(sigma)
         _emit(
             args,
             out,
@@ -267,7 +266,7 @@ def _cmd_g0(args, out) -> int:
         depth = len(sigma) if args.depth is None else args.depth
         if depth < 0 or depth > len(sigma):
             raise UsageError(f"--depth must lie in 0..{len(sigma)}")
-        rep = density_report(sel, sigma, depth)
+        rep = density_report(sigma, depth)
         _emit(
             args,
             out,
@@ -283,7 +282,7 @@ def _cmd_g0(args, out) -> int:
             f"violations={len(rep.violations)}",
         )
         return 0 if rep.ok else 1
-    pair = monotone_counterexample(sel, sigma)
+    pair = monotone_counterexample(sigma)
     ok = pair is None
     counterexample = None if ok else list(pair)
     _emit(
@@ -320,7 +319,7 @@ def _cmd_hom(args, out) -> int:
     if args.witness is None:
         raise UsageError("hom check needs a witness file")
     w = _load(args.witness, homwitness_from_payload)
-    res = verify_homomorphism(g, h, w)
+    res = verify_homomorphism(g, h, w, budget=_resolve_budget(args))
     payload = {
         "ok": res.ok,
         "reason": res.reason,

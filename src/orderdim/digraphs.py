@@ -160,11 +160,12 @@ def is_minimal_cycle(d: Digraph, verts) -> bool:
     return all(rows[v] & members == 1 << w for v, w in zip(vs, vs[1:] + vs[:1]))
 
 
-DEFAULT_CYCLE_BUDGET = 10**6
+# default node budget of minimal_cycles and the homomorphism search and check
+DEFAULT_NODE_BUDGET = 10**6
 
 
 def minimal_cycles(
-    d: Digraph, budget: int = DEFAULT_CYCLE_BUDGET
+    d: Digraph, budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[Cycle, ...]:
     """All minimal cycles, least vertex first.
 
@@ -294,11 +295,14 @@ def _cycle_non_edges(g: Digraph, budget: int):
                     yield (vs[i], vs[j]), vs
 
 
-DEFAULT_HOM_BUDGET = 10**6
+def verify_homomorphism(
+    g: Digraph, h: Digraph, w: HomWitness, budget: int = DEFAULT_NODE_BUDGET
+) -> HomCheck:
+    """Recheck a witness from scratch; independent of any search state.
 
-
-def verify_homomorphism(g: Digraph, h: Digraph, w: HomWitness) -> HomCheck:
-    """Recheck a witness from scratch; independent of any search state."""
+    A minimal witness enumerates the minimal cycles of g, which raises
+    LimitExceeded past `budget` extension attempts.
+    """
     if len(w.mapping) != g.n:
         raise SizeMismatch(f"mapping covers {len(w.mapping)} of {g.n} vertices")
     for t in w.mapping:
@@ -310,7 +314,7 @@ def verify_homomorphism(g: Digraph, h: Digraph, w: HomWitness) -> HomCheck:
             if not h.adj(m[u], m[v]):
                 return HomCheck(False, "edge not preserved", (u, v))
     if w.minimal:
-        for (a, b), cycle in _cycle_non_edges(g, DEFAULT_CYCLE_BUDGET):
+        for (a, b), cycle in _cycle_non_edges(g, budget):
             if h.adj(m[a], m[b]):
                 return HomCheck(
                     False, "cycle non-edge mapped to an edge", (a, b), cycle
@@ -322,7 +326,7 @@ def find_homomorphism(
     g: Digraph,
     h: Digraph,
     minimal: bool = False,
-    budget: int = DEFAULT_HOM_BUDGET,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> HomWitness | None:
     """First witness in canonical search order, or None when none exists.
 

@@ -85,7 +85,3 @@ class TooLarge(OrderdimError):
 
 class BranchTooLarge(OrderdimError):
     """Requested selector digraph would exceed the vertex bound."""
-
-
-class BadSelector(OrderdimError):
-    """Selector returned a value outside the level it was asked for."""

@@ -1,11 +1,11 @@
-"""Finite branching trees, dense selectors, and their increment digraphs.
+"""Finite branching trees, the dense selector, and their increment digraphs.
 
 A branching sequence sigma lists branching factors, each at least 2. The
-tuples s with s[k] < sigma[k] of full length form one tree level; a
-selector picks one such tuple per sequence. The increment digraph on the
-full level connects s to t when both extend the selected tuple of some
-shorter prefix, agree beyond that coordinate, and t bumps that coordinate
-by one modulo its branching factor.
+tuples s with s[k] < sigma[k] of full length form one tree level; the
+dense selector picks one such tuple per sequence. The increment digraph
+on the full level connects s to t when both extend the selected tuple of
+some shorter prefix, agree beyond that coordinate, and t bumps that
+coordinate by one modulo its branching factor.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .digraphs import Cycle, Digraph
-from .errors import BadSelector, BranchTooLarge
+from .errors import BranchTooLarge
 from .records import Record, set_slot
 
 MAX_LEVEL_VERTICES = 4096
@@ -75,39 +75,20 @@ def in_level(sigma, s) -> bool:
     )
 
 
-class DenseSelector:
-    """Selector hitting every tree tuple at the index where it is enumerated.
+def dense_selector(sigma) -> tuple[int, ...]:
+    """The tuple selected at the level under sigma; every tree tuple is
+    selected at the index where it is enumerated.
 
     For a branching sequence of length l: take the l-th enumerated tuple;
     if it fits the tree, pad it with zeros to full length, else answer all
-    zeros. Values are memoized; the instance itself is state-free beyond
-    the cache, so sharing it is safe.
+    zeros.
     """
-
-    def __init__(self):
-        self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def __call__(self, sigma) -> tuple[int, ...]:
-        key = check_sigma(sigma)
-        got = self._memo.get(key)
-        if got is None:
-            l = len(key)
-            s = nth_sequence(l)
-            if in_level(key, s):
-                got = s + (0,) * (l - len(s))
-            else:
-                got = (0,) * l
-            self._memo[key] = got
-        return got
-
-
-def _selector_value(selector, sigma) -> tuple[int, ...]:
-    val = tuple(selector(sigma))
-    if len(val) != len(sigma) or not all(
-        0 <= val[k] < sigma[k] for k in range(len(sigma))
-    ):
-        raise BadSelector(f"selector answered {val} for level {sigma}")
-    return val
+    sigma = check_sigma(sigma)
+    l = len(sigma)
+    s = nth_sequence(l)
+    if not in_level(sigma, s):
+        s = ()
+    return s + (0,) * (l - len(s))
 
 
 class SelectorDigraph(Record):
@@ -137,7 +118,7 @@ def _strides(sigma: tuple[int, ...]) -> list[int]:
     return strides
 
 
-def _orbits(selector, sigma):
+def _orbits(sigma):
     """Each increment orbit of the level under sigma, as its vertex ids.
 
     Checks sigma and the level size first. One orbit per coordinate k and
@@ -154,7 +135,7 @@ def _orbits(selector, sigma):
         )
     strides = _strides(sigma)
     for k in range(len(sigma)):
-        e = _selector_value(selector, sigma[:k])
+        e = dense_selector(sigma[:k])
         base = sum(e[j] * strides[j] for j in range(k))
         for tail in itertools.product(*(range(v) for v in sigma[k + 1:])):
             off = base + sum(
@@ -163,10 +144,10 @@ def _orbits(selector, sigma):
             yield tuple(off + i * strides[k] for i in range(sigma[k]))
 
 
-def selector_digraph(selector, sigma) -> SelectorDigraph:
+def selector_digraph(sigma) -> SelectorDigraph:
     """The increment digraph on the full tree level under sigma."""
     # drain the orbits first: the size guard fires before any allocation
-    orbits = list(_orbits(selector, sigma))
+    orbits = list(_orbits(sigma))
     sigma = check_sigma(sigma)
     verts = tuple(itertools.product(*(range(v) for v in sigma)))
     rows = [0] * len(verts)
@@ -176,13 +157,13 @@ def selector_digraph(selector, sigma) -> SelectorDigraph:
     return SelectorDigraph(sigma, verts, Digraph(len(verts), tuple(rows)))
 
 
-def canonical_cycles(selector, sigma) -> tuple[Cycle, ...]:
+def canonical_cycles(sigma) -> tuple[Cycle, ...]:
     """One increment orbit per level and tail: the built-in minimal cycles.
 
     The orbit at level k steps the k-th coordinate through all sigma[k]
     values over the selected prefix; as a cycle its length is sigma[k]-1.
     """
-    return tuple(Cycle(orbit) for orbit in _orbits(selector, sigma))
+    return tuple(Cycle(orbit) for orbit in _orbits(sigma))
 
 
 def level_edge_count(sigma, k: int) -> int:
@@ -195,12 +176,12 @@ def level_edge_count(sigma, k: int) -> int:
 
 
 class DensityReport(Record):
-    """Which tree tuples the selector hits within a prefix depth.
+    """Which tree tuples the dense selector hits within a prefix depth.
 
     witnessed pairs (s, l) passed the check s below the value at prefix
     length l; unresolved ones have enumeration index beyond the depth, so
-    no conclusion is drawn; violations should stay empty for the dense
-    selector and exist to catch broken custom selectors.
+    no conclusion is drawn; violations failed the check, so they stay
+    empty while dense_selector keeps its density.
     """
 
     __slots__ = _fields = ("witnessed", "unresolved", "violations")
@@ -220,7 +201,7 @@ class DensityReport(Record):
         return not self.violations
 
 
-def density_report(selector, f, depth: int) -> DensityReport:
+def density_report(f, depth: int) -> DensityReport:
     f = check_sigma(f)
     if depth < 0 or depth > len(f):
         raise ValueError(f"depth {depth} outside 0..{len(f)}")
@@ -232,7 +213,7 @@ def density_report(selector, f, depth: int) -> DensityReport:
             if l > depth:
                 unresolved.append((s, l))
                 continue
-            val = _selector_value(selector, f[:l])
+            val = dense_selector(f[:l])
             if val[: len(s)] == s:
                 witnessed.append((s, l))
             else:
@@ -240,7 +221,7 @@ def density_report(selector, f, depth: int) -> DensityReport:
     return DensityReport(tuple(witnessed), tuple(unresolved), tuple(violations))
 
 
-def monotone_counterexample(selector, f) -> tuple[int, int] | None:
+def monotone_counterexample(f) -> tuple[int, int] | None:
     """First pair of prefix lengths (m, n) breaking prefix monotonicity.
 
     Whenever the value at prefix length m is an initial segment of the
@@ -249,7 +230,7 @@ def monotone_counterexample(selector, f) -> tuple[int, int] | None:
     scanned in (m, n) order; None when no pair breaks the rule.
     """
     f = check_sigma(f)
-    vals = [_selector_value(selector, f[:m]) for m in range(len(f))]
+    vals = [dense_selector(f[:m]) for m in range(len(f))]
     for m in range(len(f)):
         for n in range(m, len(f)):
             if vals[n][:m] == vals[m] and f[m] > f[n]:
@@ -257,6 +238,6 @@ def monotone_counterexample(selector, f) -> tuple[int, int] | None:
     return None
 
 
-def prefix_monotone(selector, f) -> bool:
+def prefix_monotone(f) -> bool:
     """Branching factors never drop along selected-prefix containment."""
-    return monotone_counterexample(selector, f) is None
+    return monotone_counterexample(f) is None

@@ -58,50 +58,157 @@ def test_registry_and_unknown_names():
         recheck_certificate({"claim": "bogus", "instance": {}, "witness": {}})
 
 
-def corrupt(payload, path, value):
-    """A copy of payload with the witness entry at path set to value, or
-    to value(old entry) when value is callable."""
+def corrupt(payload, edits):
+    """A copy of payload with each edit made: edits maps a key path from
+    the payload's root to the entry's new value, or to a function of its
+    old value."""
     doc = copy.deepcopy(payload)
-    target = doc["witness"]
-    for key in path[:-1]:
-        target = target[key]
-    old = target[path[-1]]
-    target[path[-1]] = value(old) if callable(value) else value
+    for path, value in edits.items():
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        old = target[path[-1]]
+        target[path[-1]] = value(old) if callable(value) else value
     return doc
+
+
+# hom instances: the 6-cycle and, on 0..5 and 6..8, a 6-cycle and a 3-cycle
+C6 = {"kind": "digraph", "n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
+C6_C3 = {
+    "kind": "digraph",
+    "n": 9,
+    "edges": C6["edges"] + [[6, 7], [7, 8], [8, 6]],
+}
 
 
 def test_checkers_reject_corrupted_witnesses():
     # (campaign, size, values the edited certificate's claim and witness
-    # hold, edits); each edit is made to the first such certificate
+    # hold, edits); each edit, to the instance, the witness or both, is
+    # made to the first such certificate and reaches one rejection
     cases = [
-        ("odim-eq-dicr", {"n": 3}, {}, [(["d_via_dicr"], 9)]),
-        ("dim-landmarks", {}, {}, [(["d"], 7), (["expected"], 7)]),
-        ("dicr-landmarks", {}, {}, [(["k"], 0)]),
-        ("graph-collapse", {"n": 5}, {}, [(["chromatic"], 99)]),
-        ("h1plus", {"n": 3}, {}, [(["k_pair_digraph"], 50)]),
-        ("separators", {"n": 3}, {}, [(["bound"], -1)]),
+        ("odim-eq-dicr", {"n": 3}, {}, [{("witness", "d_via_dicr"): 9}]),
+        (
+            "dim-landmarks",
+            {},
+            {},
+            [{("witness", "d"): 7}, {("witness", "expected"): 7}],
+        ),
+        ("dicr-landmarks", {}, {}, [{("witness", "k"): 0}]),
+        (
+            "graph-collapse",
+            {"n": 5},
+            {"chromatic": 2},
+            [
+                {("witness", "chromatic"): 99},
+                {("witness", "chromatic"): 1},
+                {("witness", "coloring"): lambda c: c[1:]},
+                {("witness", "coloring"): lambda c: [0] * len(c)},
+                # drop one direction of an edge
+                {("instance", "digraph", "edges"): lambda e: e[1:]},
+            ],
+        ),
+        ("h1plus", {"n": 3}, {}, [{("witness", "k_pair_digraph"): 50}]),
+        ("separators", {"n": 3}, {}, [{("witness", "bound"): -1}]),
         # a one-class cover does not witness k = 0
-        ("h1plus", {"n": 3}, {"k_pair_digraph": 1}, [(["k_pair_digraph"], 0)]),
-        ("xinapg", {"n": 4}, {"k_source": 1}, [(["k_source"], 0)]),
+        (
+            "h1plus",
+            {"n": 3},
+            {"k_pair_digraph": 1},
+            [{("witness", "k_pair_digraph"): 0}],
+        ),
+        ("xinapg", {"n": 4}, {"k_source": 1}, [{("witness", "k_source"): 0}]),
         # a landmark's expected value is the one its name stands for
-        ("dim-landmarks", {}, {}, [(["name"], "crown-3")]),
-        ("dicr-landmarks", {}, {}, [(["name"], "biclique-3")]),
+        ("dim-landmarks", {}, {}, [{("witness", "name"): "crown-3"}]),
+        ("dicr-landmarks", {}, {}, [{("witness", "name"): "biclique-3"}]),
         # the round trip's way back is checked too
-        ("roundtrip", {"n": 3}, {}, [(["back_cover"], {"classes": [[0]]})]),
-        ("dim-agreement", {"n": 4}, {}, [(["d_oracle"], 9)]),
+        (
+            "roundtrip",
+            {"n": 3},
+            {},
+            [{("witness", "back_cover"): {"classes": [[0]]}}],
+        ),
+        (
+            "roundtrip",
+            {"n": 3},
+            {"cover": {"classes": [[0], [1]]}},
+            [{("witness", "cover", "classes"): lambda c: c[::-1]}],
+        ),
+        # the antichain of 3: each pair-digraph class of a realizer split
+        # in two, so one class, (0, 2), closes to less than its extension
+        (
+            "roundtrip",
+            {"n": 3},
+            {"cover": {"classes": [[0, 1, 3], [2, 4, 5]]}},
+            [
+                {
+                    ("witness", "family", "extensions"): lambda e: [
+                        e[0], e[0], e[1]
+                    ],
+                    ("witness", "cover", "classes"): [[0, 3], [1], [2, 4, 5]],
+                    ("witness", "back_cover", "classes"): lambda c: [
+                        c[0], c[0], c[1]
+                    ],
+                }
+            ],
+        ),
+        ("dim-agreement", {"n": 4}, {}, [{("witness", "d_oracle"): 9}]),
         (
             "cyclefree-extends",
             {"n": 5},
             {"outcome": "extension"},
-            [(["extension"], lambda pairs: pairs[1:])],
+            [
+                {("witness", "extension"): lambda pairs: pairs[1:]},
+                # offered pairs that merge 0 and 1, their closure stated
+                {
+                    ("instance", "order"): order_payload(antichain_order(2)),
+                    ("instance", "pairs"): [[0, 1], [1, 0]],
+                    ("witness", "extension"): [[0, 1], [1, 0]],
+                },
+            ],
         ),
-        ("g0", {"n": 2}, {}, [(["canonical_cycles"], lambda c: c + 1)]),
-        ("minimal-hom", {}, {}, [(["minimal_exists"], True)]),
+        (
+            "cyclefree-extends",
+            {"n": 5},
+            {"outcome": "cycle"},
+            [
+                {("witness", "cycle"): []},
+                {("witness", "cycle"): [[0, 0]]},
+                {("witness", "cycle"): lambda c: c[:1]},
+            ],
+        ),
+        (
+            "g0",
+            {"n": 2},
+            {},
+            [
+                {("witness", "canonical_cycles"): lambda c: c + 1},
+                {("witness", "level_edges"): lambda e: e + [1]},
+            ],
+        ),
+        (
+            "minimal-hom",
+            {},
+            {"claim": "wrap_pair"},
+            [
+                {("witness", "minimal_exists"): True},
+                {("witness", "map"): [0] * 6},
+                {("witness", "violating_pair"): [9, 9]},
+                # h gains a 6-cycle, which takes C6 by a minimal map
+                {
+                    ("instance", "g"): C6,
+                    ("instance", "h"): C6_C3,
+                    ("witness", "map"): [6, 7, 8, 6, 7, 8],
+                },
+            ],
+        ),
         (
             "minimal-hom",
             {},
             {"claim": "minimal_chain"},
-            [(["map_gh"], lambda m: m[1:] + m[:1])],
+            [
+                {("witness", "map_gh"): lambda m: m[1:] + m[:1]},
+                {("witness", "map_hk"): lambda m: [0] * len(m)},
+            ],
         ),
     ]
     for name, kw, holds, edits in cases:
@@ -114,10 +221,11 @@ def test_checkers_reject_corrupted_witnesses():
             if holds.items()
             <= {**doc["witness"], "claim": doc["claim"]}.items()
         )
-        for path, value in edits:
-            assert recheck_certificate(corrupt(base, path, value)) is False, (
+        assert recheck_certificate(base) is True, name
+        for edit in edits:
+            assert recheck_certificate(corrupt(base, edit)) is False, (
                 name,
-                path,
+                sorted(edit),
             )
 
 
@@ -128,11 +236,8 @@ def test_checker_rejects_tampered_mapping():
             h_n = payload["instance"]["h"]["n"]
             if h_n < 2:
                 continue
-            broken = corrupt(
-                payload,
-                ["map"],
-                [(v + 1) % h_n for v in payload["witness"]["map"]],
-            )
+            shifted = [(v + 1) % h_n for v in payload["witness"]["map"]]
+            broken = corrupt(payload, {("witness", "map"): shifted})
             if broken["witness"]["map"] != payload["witness"]["map"]:
                 got = recheck_certificate(broken)
                 if got is False:
@@ -185,7 +290,7 @@ def test_checker_ties_hom_transfer_counts_to_the_covers():
     # covers' sizes can show that neither number is what they witness
     cert = first_cert("hom-transfer", n=4, seed=3)
     payload = json.loads(dumps(cert.to_payload()))
-    forged = corrupt(corrupt(payload, ["k_g"], 0), ["k_h"], 99)
+    forged = corrupt(payload, {("witness", "k_g"): 0, ("witness", "k_h"): 99})
     assert recheck_certificate(payload) is True
     assert recheck_certificate(forged) is False
 
@@ -198,7 +303,8 @@ def test_checker_recomputes_the_separator_dimension():
     )
     payload = json.loads(dumps(cert.to_payload()))
     assert recheck_certificate(payload) is True
-    assert recheck_certificate(corrupt(payload, ["d"], 0)) is False
+    forged = corrupt(payload, {("witness", "d"): 0})
+    assert recheck_certificate(forged) is False
 
 
 def test_cyclefree_checker_rejects_offered_pairs_out_of_range():

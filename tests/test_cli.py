@@ -107,6 +107,15 @@ def test_density_depth_guard(capsys):
     assert code == 2 and "depth" in err
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [("2,x", "comma-separated integers"), ("1,2", "at least 2")],
+)
+def test_bad_sigma_is_a_usage_error(capsys, sigma, message):
+    code, out, err = invoke(capsys, "g0", "selector", "--sigma", sigma)
+    assert code == 2 and out == "" and message in err
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = invoke(capsys, "enumerate", "--n", "2")
     assert code == 0
@@ -220,6 +229,22 @@ def test_budget_zero_is_honoured(capsys, tmp_path, c3, crown):
     )
     code, out, _ = invoke(capsys, "dicr", path, "--budget", "0")
     assert code == 0 and json.loads(out)["k"] == 1
+
+
+def test_hom_check_reads_the_budget(capsys, tmp_path, monkeypatch, c3):
+    # a minimal witness makes the check enumerate the minimal cycles
+    code, out, _ = invoke(capsys, "hom", "find", c3, c3, "--minimal")
+    assert code == 0
+    witness = str(tmp_path / "w.json")
+    Path(witness).write_text(out)
+    argv = ["hom", "check", c3, c3, witness]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, err = invoke(capsys, *argv, "--budget", "0")
+    assert code == 3 and out == "" and "budget" in err.lower()
+    monkeypatch.setenv("DICHRO_BUDGET", "0")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3 and out == "" and "budget" in err.lower()
 
 
 def test_negative_budget_is_usage_error(capsys, c3):

@@ -14,7 +14,6 @@ import pytest
 from orderdim import (
     AcyclicCover,
     Cycle,
-    DenseSelector,
     DicrResult,
     Digraph,
     DimResult,
@@ -106,13 +105,13 @@ RECORDS = {
         "Incomplete(pair=(0, 1))",
     ),
     "SelectorDigraph": (
-        lambda: selector_digraph(DenseSelector(), (2,)),
+        lambda: selector_digraph((2,)),
         ("sigma", "verts", "graph"),
         "SelectorDigraph(sigma=(2,), verts=((0,), (1,)), "
         "graph=Digraph(n=2, rows=(2, 1)))",
     ),
     "DensityReport": (
-        lambda: density_report(DenseSelector(), (2, 2), 1),
+        lambda: density_report((2, 2), 1),
         ("witnessed", "unresolved", "violations"),
         "DensityReport(witnessed=(((), 0), ((0,), 1)), "
         "unresolved=(((1,), 2),), violations=())",

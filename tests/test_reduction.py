@@ -243,6 +243,37 @@ def test_extend_by_pairs_totality(case):
         assert ext.leq(x, y)
 
 
+def extending(case):
+    """(base, the offered pairs kept in turn while their closure stays an
+    extension of base)."""
+    base, offered = case
+    kept = []
+    for pair in offered:
+        try:
+            extend_by_pairs(base, kept + [pair])
+        except CycleInX:
+            continue
+        kept.append(pair)
+    return base, kept
+
+
+@given(quasi_with_pairs().map(extending))
+@settings(max_examples=150)
+def test_closure_path_postconditions_on_every_new_relation(case):
+    base, offered = case
+    ext = extend_by_pairs(base, offered)
+    offered_set = set(offered)
+    for p in range(base.n):
+        for r in range(base.n):
+            if base.leq(p, r) or not ext.leq(p, r):
+                continue
+            path = closure_path(base, offered, p, r)
+            assert path and set(path) <= offered_set
+            assert base.leq(p, path[0][0]) and base.leq(path[-1][1], r)
+            for (_, y0), (x1, _) in zip(path, path[1:]):
+                assert base.leq(y0, x1)
+
+
 def test_check_cover_validation():
     ap, _ = pair_digraph(crown_order(2))
     with pytest.raises(InvalidCover):

@@ -160,6 +160,67 @@ def test_g0_k_output_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, sigma
 
 
+# sha256 of the stdout of `orderdim g0 selector --sigma S`, over the same keys
+G0_SELECTOR_DIGESTS = {
+    "": "33db2d1333779ccddc4a53aca1c2a5f1de983cb7cfa2c1529e32b1f5fa29bed0",
+    "2": "41600584a2a2904dd74eb8009fb6ce2b2274ee9a01cf47820146c4b24bb3b41f",
+    "3": "6c62f89bbff875464d77150f8922daa17d5069977d07970940f2c5bd5cbed252",
+    "2,2": "49529d0b9920363b83e31493d05f47f811f0b71febed3275f57701ecdddc9487",
+    "3,2": "2a17b7a97345a5829133d29925d39ee33608ac81c7a14c09b5e04994efb44379",
+    "2,3,4": "e74e79407daf52c7f0fbfcc53b375d2edbfaf074402955304a19dd3adb259c52",
+    "4,4,4": "378cdd8f01431bdf3922b42844173cf1dba2cf51fbf3994cd7b494cc5056d00f",
+    "2,2,2,2": "1d20d8985cf2566fd58d406f32d73c0f50c3bb9644d9e75cdbea72d51653e865",
+    "5,3,2": "a58103021a83714f445462d5180d1b076b26f1e85786eaa8739745ca31717edd",
+}
+
+# sha256 of the stdout of `orderdim g0 density --sigma S --depth D` for
+# D = 0, 1, ..., len S in turn, each exiting 0
+G0_DENSITY_DIGESTS = {
+    "": "e1f15aa4161c84f791f62e7007ad81bfe67ff7945ad2f538a82254e3fab854a7",
+    "2": "796c10e4969a8e32d00c569d416ad55398be5f43c5d4674c690cff3078eab26a",
+    "3": "1c64e84a4789ac08ec7751cb8f4a972992eec3f34f991fe00461127f82f6b22b",
+    "2,2": "5424ad4378ade234dc29fc5a9b9f275973333f749ed163b7720c44be5af42a18",
+    "3,2": "3db9640b0c5c5c6691a2c3118cb4a394e4528055ec8d6f91be30c49c71466819",
+    "2,3,4": "95b57c1c051ed372a09ccdab5fa0759c7b21c11bcdf7b6609027f8469be22dc6",
+    "4,4,4": "6f24e4eb2f5f89d7e35555ff9c5a9f9b5b8f923abc383a157b27aa659b0a3e34",
+    "2,2,2,2": "d7fae8b90299382a327ba0bf14e4d3d6d995caccdde40562baaef94969f89477",
+    "5,3,2": "95fe722d65ef07ffe8082d119a3cd0bdde5246942f792ab1fa42273d05c346e5",
+}
+
+# (exit code, sha256 of the stdout) of `orderdim g0 monotone --sigma S`
+G0_MONOTONE_DIGESTS = {
+    "": (0, "1d5940cef333fbe55cc9ce92c452eeb9deb39dade960be348ae08f7e60c3edfa"),
+    "2": (0, "99b8df6f31cc43aa0cfa65af49bf8316c7d3194aad85c2cd5705c0c2a1e5f992"),
+    "3": (0, "09067a253e8bfbaf1a92d554ac9a747d5ef088e52763716c0c822ec662fc10f7"),
+    "2,2": (0, "8253f4d303f89b4ddbacb86419e9ba720a8b9edd494091ccfaa2b480981afb63"),
+    "3,2": (1, "fecdde31e755ea2cf428c7415b040fbba8360bfaaa243be35243c925c374b34d"),
+    "2,3,4": (0, "cb8f78a982b148145f076a769310bdb850a9b3668854ea8f771cd846f3280d4a"),
+    "4,4,4": (0, "1bf55a789d7e482465615424dbb387e243dd26625f0055393c25b3adc9b5b53e"),
+    "2,2,2,2": (0, "d5ee31ec54d7cffe9d92cd4bd641bd8166da7dd2ea3824d4afd9fe1d4120aad2"),
+    "5,3,2": (1, "dcc36f2e2d98653d92c1d0ecc68a43d9d5d5549f2699d904fae251e74115fa20"),
+}
+
+
+def test_g0_subcommand_output_bytes_are_pinned(capsys):
+    keys = set(G0_K_DIGESTS)
+    assert set(G0_SELECTOR_DIGESTS) == set(G0_DENSITY_DIGESTS) == keys
+    assert set(G0_MONOTONE_DIGESTS) == keys
+
+    def digest() -> str:
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    for sigma in sorted(keys):
+        assert run(["g0", "selector", "--sigma", sigma]) == 0
+        assert digest() == G0_SELECTOR_DIGESTS[sigma], sigma
+        levels = len(sigma.split(",")) if sigma else 0
+        for depth in range(levels + 1):
+            argv = ["g0", "density", "--sigma", sigma, "--depth", str(depth)]
+            assert run(argv) == 0, (sigma, depth)
+        assert digest() == G0_DENSITY_DIGESTS[sigma], sigma
+        code = run(["g0", "monotone", "--sigma", sigma])
+        assert (code, digest()) == G0_MONOTONE_DIGESTS[sigma], sigma
+
+
 # Seeded digraph pairs (G, H) with H one vertex smaller and denser: the
 # plain and minimal find_homomorphism witnesses, and the minimal recheck
 # (ok, reason, pair, cycle) of the plain map and of v -> v mod |H|

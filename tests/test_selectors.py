@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orderdim.selectors
 from orderdim import (
-    BadSelector,
     BranchTooLarge,
-    DenseSelector,
     canonical_cycles,
+    dense_selector,
     density_report,
     dichromatic_number,
     is_minimal_cycle,
@@ -62,49 +62,36 @@ def test_enumeration_is_weight_then_shortlex_ordered(l):
 
 
 def test_dense_selector_fixed_values():
-    sel = DenseSelector()
-    assert sel(()) == ()
-    assert sel((2,)) == (0,)
-    assert sel((3,)) == (0,)
-    assert sel((2, 2)) == (1, 0)
-    assert sel((3, 2)) == (1, 0)
+    assert dense_selector(()) == ()
+    assert dense_selector((2,)) == (0,)
+    assert dense_selector((3,)) == (0,)
+    assert dense_selector((2, 2)) == (1, 0)
+    assert dense_selector((3, 2)) == (1, 0)
 
 
 def test_dense_selector_always_lands_in_the_level():
-    sel = DenseSelector()
     for length in range(4):
         for sigma in itertools.product(range(2, 5), repeat=length):
-            val = sel(sigma)
+            val = dense_selector(sigma)
             assert len(val) == length
             assert all(val[k] < sigma[k] for k in range(length))
 
 
 def test_selector_rejects_invalid_sigma():
-    sel = DenseSelector()
     with pytest.raises(ValueError):
-        sel((1,))
-
-
-def test_broken_custom_selector_is_caught():
-    class Liar:
-        def __call__(self, sigma):
-            return tuple(9 for _ in sigma)
-
-    with pytest.raises(BadSelector):
-        selector_digraph(Liar(), (2, 2))
+        dense_selector((1,))
 
 
 def test_k_digraph_small_fixtures():
-    sel = DenseSelector()
-    two = selector_digraph(sel, (2,))
+    two = selector_digraph((2,))
     assert two.graph.n == 2
     assert two.graph.adj(0, 1) and two.graph.adj(1, 0)
 
-    three = selector_digraph(sel, (3,))
+    three = selector_digraph((3,))
     assert three.graph.n == 3
     assert list(three.graph.edges()) == [(0, 1), (1, 2), (2, 0)]
 
-    grid = selector_digraph(sel, (2, 2))
+    grid = selector_digraph((2, 2))
     assert grid.verts == ((0, 0), (0, 1), (1, 0), (1, 1))
     vid = grid.vertex_id
     expected = {
@@ -121,9 +108,8 @@ def test_k_digraph_small_fixtures():
 
 
 def test_level_edge_counts_match_direct_enumeration():
-    sel = DenseSelector()
     for sigma in [(2,), (3,), (2, 2), (2, 3), (3, 2), (4, 2, 3)]:
-        kd = selector_digraph(sel, sigma)
+        kd = selector_digraph(sigma)
         per = [level_edge_count(sigma, k) for k in range(len(sigma))]
         assert kd.graph.edge_count() == sum(per)
         for k in range(len(sigma)):
@@ -134,59 +120,58 @@ def test_level_edge_counts_match_direct_enumeration():
 
 
 def test_canonical_cycle_counts_and_minimality():
-    sel = DenseSelector()
-    assert len(canonical_cycles(sel, (3,))) == 1
-    assert len(canonical_cycles(sel, (2, 2))) == 3
-    assert len(canonical_cycles(sel, (2, 3))) == 4
+    assert len(canonical_cycles((3,))) == 1
+    assert len(canonical_cycles((2, 2))) == 3
+    assert len(canonical_cycles((2, 3))) == 4
     for sigma in [(2, 2), (2, 3), (3, 2), (2, 2, 2)]:
-        kd = selector_digraph(sel, sigma)
-        for c in canonical_cycles(sel, sigma):
+        kd = selector_digraph(sigma)
+        for c in canonical_cycles(sigma):
             assert is_minimal_cycle(kd.graph, c.verts)
-            assert c.length == sigma[_cycle_level(sel, sigma, c)] - 1
+            assert c.length == sigma[_cycle_level(sigma, c)] - 1
 
 
-def _cycle_level(sel, sigma, cycle):
+def _cycle_level(sigma, cycle):
     first, second = cycle.verts[0], cycle.verts[1]
-    kd = selector_digraph(sel, sigma)
+    kd = selector_digraph(sigma)
     a, b = kd.verts[first], kd.verts[second]
     return next(k for k in range(len(sigma)) if a[k] != b[k])
 
 
 def test_symmetry_facts():
-    sel = DenseSelector()
-    assert selector_digraph(sel, (2, 2, 2)).graph.is_symmetric()
-    kd = selector_digraph(sel, (3, 4))
+    assert selector_digraph((2, 2, 2)).graph.is_symmetric()
+    kd = selector_digraph((3, 4))
     for u, v in kd.graph.edges():
         assert not kd.graph.adj(v, u)
 
 
-def test_branch_guard():
+def test_branch_guard(monkeypatch):
     asked = []
 
     def sel(sigma):
         asked.append(sigma)
-        return (0,) * len(sigma)
+        return dense_selector(sigma)
 
+    monkeypatch.setattr(orderdim.selectors, "dense_selector", sel)
     for build in (selector_digraph, canonical_cycles):
         with pytest.raises(BranchTooLarge):
-            build(sel, (4,) * 7)
+            build((4,) * 7)
     # the guard fires before the walk asks the selector anything
     assert asked == []
+    selector_digraph((2, 2))
+    assert asked
 
 
 def test_dicr_of_branching_digraph_is_at_least_two():
-    sel = DenseSelector()
     for sigma in [(2,), (3,), (2, 2), (4, 3)]:
-        assert dichromatic_number(selector_digraph(sel, sigma).graph).k >= 2
+        assert dichromatic_number(selector_digraph(sigma).graph).k >= 2
 
 
 def test_noncanonical_minimal_cycles_are_reported_not_asserted():
     # Whether every minimal cycle is canonical is left open; this records
     # the observed counts for two small branching digraphs.
-    sel = DenseSelector()
     for sigma in [(2, 2), (2, 3)]:
-        kd = selector_digraph(sel, sigma)
-        canon = {c.verts for c in canonical_cycles(sel, sigma)}
+        kd = selector_digraph(sigma)
+        canon = {c.verts for c in canonical_cycles(sigma)}
         minimal = {c.verts for c in minimal_cycles(kd.graph)}
         assert canon <= minimal
         extra = minimal - canon
@@ -195,27 +180,25 @@ def test_noncanonical_minimal_cycles_are_reported_not_asserted():
 
 
 def test_density_report_fixtures():
-    sel = DenseSelector()
-    rep = density_report(sel, (2, 2), 2)
+    rep = density_report((2, 2), 2)
     witnessed = {s: l for s, l in rep.witnessed}
     assert witnessed[(0,)] == 1
     assert witnessed[(1,)] == 2
     assert rep.ok
-    rep1 = density_report(sel, (2,), 1)
+    rep1 = density_report((2,), 1)
     assert {s for s, _ in rep1.witnessed} == {(), (0,)}
     assert {s for s, _ in rep1.unresolved} == {(1,)}
-    rep0 = density_report(sel, (2, 2), 0)
+    rep0 = density_report((2, 2), 0)
     assert rep0.ok and {s for s, _ in rep0.witnessed} == {()}
     with pytest.raises(ValueError):
-        density_report(sel, (2,), 5)
+        density_report((2,), 5)
 
 
 def test_monotone_outcomes():
-    sel = DenseSelector()
-    assert prefix_monotone(sel, (2, 2, 2))
-    assert prefix_monotone(sel, (4, 4))
-    assert prefix_monotone(sel, (2, 3))
-    assert not prefix_monotone(sel, (3, 2))
-    assert monotone_counterexample(sel, (2, 3)) is None
-    assert monotone_counterexample(sel, (3, 2)) == (0, 1)
-    assert monotone_counterexample(sel, (4, 2, 3)) == (0, 1)
+    assert prefix_monotone((2, 2, 2))
+    assert prefix_monotone((4, 4))
+    assert prefix_monotone((2, 3))
+    assert not prefix_monotone((3, 2))
+    assert monotone_counterexample((2, 3)) is None
+    assert monotone_counterexample((3, 2)) == (0, 1)
+    assert monotone_counterexample((4, 2, 3)) == (0, 1)
