@@ -26,10 +26,9 @@ _SUBMODULE = {
         ),
         (
             "errors",
-            "BadPair BranchTooLarge CycleInX IncompleteFamily "
-            "IndexOutOfRange InvalidCover LimitExceeded NotADigraph NotAGraph "
-            "NotApplicable NotExtension NotQuasiOrder NotStrictOrder "
-            "OrderdimError SizeMismatch TooLarge",
+            "BadPair CycleInX IncompleteFamily IndexOutOfRange InvalidCover "
+            "LimitExceeded NotADigraph NotAGraph NotExtension NotQuasiOrder "
+            "NotStrictOrder OrderdimError SizeMismatch TooLarge",
         ),
         (
             "generate",
@@ -40,10 +39,10 @@ _SUBMODULE = {
         (
             "reduction",
             "AcyclicCover ExtensionFamily Incomplete PairVertexMap check_cover "
-            "closure_path cover_to_extensions critical_pair_digraph "
-            "extend_by_pairs extend_by_separator extension_pairs "
-            "extensions_to_cover family_from_separators pair_digraph "
-            "prefix_separators two_level_order undecided_pair",
+            "cover_to_extensions critical_pair_digraph extend_by_pairs "
+            "extend_by_separator extension_pairs extensions_to_cover "
+            "family_from_separators pair_digraph prefix_separators "
+            "two_level_order undecided_pair",
         ),
         (
             "relations",

@@ -14,8 +14,6 @@ from types import SimpleNamespace
 
 from .digraphs import find_homomorphism, verify_homomorphism
 from .errors import (
-    BranchTooLarge,
-    CycleInX,
     IndexOutOfRange,
     LimitExceeded,
     OrderdimError,
@@ -51,7 +49,7 @@ from .solvers import (
     order_dimension,
 )
 
-GUARD_ERRORS = (LimitExceeded, TooLarge, BranchTooLarge)
+GUARD_ERRORS = (LimitExceeded, TooLarge)
 
 
 class UsageError(Exception):
@@ -124,6 +122,30 @@ def _without_gc(write) -> None:
     finally:
         if enabled:
             gc.enable()
+
+
+class _OpenOnWrite:
+    """The --out file, opened at the first write, so a command that fails
+    before its output, or reads that same file, leaves it as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def write(self, text: str) -> int:
+        try:
+            fh = open(self.path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot open {self.path}: {exc}")
+        # from now on every call goes straight to the file
+        self.write, self.flush, self.fileno, self.close = (
+            fh.write, fh.flush, fh.fileno, fh.close
+        )
+        return fh.write(text)
+
+    def flush(self) -> None:
+        """Nothing is written before the file opens."""
+
+    close = flush
 
 
 # ---------------------------------------------------------------- handlers
@@ -428,10 +450,8 @@ def _cmd_verify(args, out) -> int:
 # choices, and whether it is store_true or required. Any other name is a
 # positional, with its choices, and optional when nargs is "?" (only as
 # the last positional).
-_COMMON = (
-    ("--format", {"choices": ("json", "text"), "default": "json"}),
-    ("--out", {"default": None, "metavar": "FILE"}),
-)
+_OUT = ("--out", {"default": None, "metavar": "FILE"})
+_COMMON = (("--format", {"choices": ("json", "text"), "default": "json"}), _OUT)
 _BUDGET = ("--budget", {"type": int, "default": None})
 
 # name -> (help line, handler, arguments), in the order the parser lists
@@ -503,7 +523,7 @@ SUBCOMMANDS = {
             ("--n", {"type": int, "default": 4}),
             ("--p", {"type": float, "default": 0.3}),
             ("--seed", {"type": int, "default": 0}),
-            *_COMMON,
+            _OUT,
         ),
     ),
     "enumerate": (
@@ -518,7 +538,7 @@ SUBCOMMANDS = {
             ("name", {}),
             ("--n", {"type": int, "default": None}),
             ("--seed", {"type": int, "default": 0}),
-            *_COMMON,
+            _OUT,
             _BUDGET,
         ),
     ),
@@ -635,16 +655,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    close = False
-    if args.out is None:
-        out = sys.stdout
-    else:
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot open {args.out}: {exc}", file=sys.stderr)
-            return 2
-        close = True
+    out = sys.stdout if args.out is None else _OpenOnWrite(args.out)
     try:
         code = args.handler(args, out)
         out.flush()
@@ -663,15 +674,11 @@ def run(argv) -> int:
     except GUARD_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except CycleInX as exc:
-        out.write(dumps({"cycle": [list(p) for p in exc.pairs]}))
-        print("property violated: offered pairs contain a cycle", file=sys.stderr)
-        return 1
     except OrderdimError as exc:
         print(f"property violated: {exc}", file=sys.stderr)
         return 1
     finally:
-        if close:
+        if out is not sys.stdout:
             out.close()
 
 

@@ -46,17 +46,13 @@ class BadPair(OrderdimError):
 class CycleInX(OrderdimError):
     """Extension by a pair set failed; carries the offending pair cycle.
 
-    `pairs` is a sequence of (x, y) pairs, consecutive under the pair-digraph
+    `pairs` holds distinct (x, y) pairs, consecutive under the pair-digraph
     edge relation, with the last linking back to the first.
     """
 
     def __init__(self, pairs):
         self.pairs = tuple(tuple(p) for p in pairs)
         super().__init__(f"pair set closes a cycle of {len(self.pairs)} pairs")
-
-
-class NotApplicable(OrderdimError):
-    """closure_path called on a pair not newly decided by the pair set."""
 
 
 class InvalidCover(OrderdimError):
@@ -81,7 +77,3 @@ class LimitExceeded(OrderdimError):
 
 class TooLarge(OrderdimError):
     """Instance exceeds a hard guard (not a tunable budget)."""
-
-
-class BranchTooLarge(OrderdimError):
-    """Requested selector digraph would exceed the vertex bound."""

@@ -10,8 +10,6 @@ full cover corresponds to a family of extensions that decides everything.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .digraphs import Digraph, _cycle_in
 from .errors import (
     BadPair,
@@ -19,7 +17,6 @@ from .errors import (
     IncompleteFamily,
     IndexOutOfRange,
     InvalidCover,
-    NotApplicable,
     NotExtension,
     SizeMismatch,
     TooLarge,
@@ -214,48 +211,6 @@ def _pair_rows(base: QuasiOrder, pairs) -> list[int]:
     return rows
 
 
-def closure_path(
-    base: QuasiOrder, pairs, p: int, r: int
-) -> tuple[tuple[int, int], ...]:
-    """The pair-digraph path that witnesses p below r in the closure.
-
-    Walks a shortest chain from p to r whose single steps are either base
-    relations or offered pairs, then keeps the offered pairs in order.
-    The result (x0,y0)..(xk,yk) satisfies base(p,x0), base(yk,r), and
-    base(y_i, x_{i+1}) between consecutive pairs. NotApplicable when (p, r)
-    sits in the base already or fails to be in the closure.
-    """
-    pair_rows = _pair_rows(base, pairs)
-    if not (0 <= p < base.n and 0 <= r < base.n):
-        raise IndexOutOfRange(f"({p}, {r}) outside 0..{base.n - 1}")
-    if base.leq(p, r):
-        raise NotApplicable(f"({p}, {r}) holds in the base already")
-    step = [base.rows[i] | pair_rows[i] for i in range(base.n)]
-    parent = {p: None}
-    queue = deque([p])
-    while queue:
-        u = queue.popleft()
-        if u == r:
-            break
-        for v in bits_of(step[u]):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if r not in parent:
-        raise NotApplicable(f"({p}, {r}) is not in the closure")
-    chain = []
-    v = r
-    while v is not None:
-        chain.append(v)
-        v = parent[v]
-    chain.reverse()
-    out = []
-    for u, v in zip(chain, chain[1:]):
-        if not base.leq(u, v):
-            out.append((u, v))
-    return tuple(out)
-
-
 def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     """Close base over the offered pairs; the closure must stay an extension.
 
@@ -267,35 +222,32 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     rows = close_rows(
         [base.rows[i] | pair_rows[i] for i in range(base.n)], base.n
     )
-    # the closure contains the base, so it merges classes iff it has fewer
-    # distinct rows; the merged pair is the first x < y with equal rows
+    # a closure of the base merges classes iff it has fewer distinct rows
     if len(set(rows)) == len(set(base.rows)):
         return QuasiOrder(base.n, tuple(rows))
-    x, y = next(
-        (x, y)
-        for x in range(base.n)
-        for y in bits_of(rows[x] & (-2 << x))
-        if rows[y] == rows[x] and base.rows[y] != base.rows[x]
-    )
-    plist = [(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])]
-    cycle = ()
-    if not base.leq(x, y):
-        cycle += closure_path(base, plist, x, y)
-    if not base.leq(y, x):
-        cycle += closure_path(base, plist, y, x)
-    raise CycleInX(cycle)
+    raise _pair_cycle(base, pair_rows)
+
+
+def _pair_cycle(base: QuasiOrder, pair_rows) -> CycleInX:
+    """CycleInX of the pairs offered in pair_rows (bit b of row a offers
+    (a, b)) when their closure merges classes: a cycle of their pair
+    digraph, found by the DFS that every cover check runs."""
+    pairs = [(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])]
+    rows = _pair_edges(base.n, pairs, 1, base.rows, 0)
+    cycle = _cycle_in(rows, (1 << len(pairs)) - 1)
+    return CycleInX(pairs[v] for v in cycle.verts)
 
 
 def _lift_pair_sets(base: QuasiOrder, frame, pair_sets):
     """linear_extension(extend_by_pairs(base, pairs)) of each pair set, in
     one peel each off frame, _peel_frame(base); BadPair or CycleInX as in
-    extend_by_pairs, which a stalled peel re-runs for its witness."""
+    extend_by_pairs."""
     exts = []
     for pairs in pair_sets:
-        ext = _peel(base, frame, _pair_rows(base, pairs))
+        pair_rows = _pair_rows(base, pairs)
+        ext = _peel(base, frame, pair_rows)
         if ext is None:
-            extend_by_pairs(base, pairs)
-            raise AssertionError("a stalled peel leaves a cycle of classes")
+            raise _pair_cycle(base, pair_rows)
         exts.append(ext)
     return tuple(exts)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .digraphs import Cycle, Digraph
-from .errors import BranchTooLarge
+from .errors import TooLarge
 from .records import Record, set_slot
 
 MAX_LEVEL_VERTICES = 4096
@@ -130,7 +130,7 @@ def _orbits(sigma):
     for v in sigma:
         total *= v
     if total > MAX_LEVEL_VERTICES:
-        raise BranchTooLarge(
+        raise TooLarge(
             f"{total} vertices exceed the bound {MAX_LEVEL_VERTICES}"
         )
     strides = _strides(sigma)

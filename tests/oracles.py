@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from orderdim import (
     Cycle,
     Digraph,
@@ -349,7 +347,8 @@ def brute_force_poset_count(n: int) -> int:
 
     Vectorized filter over all 2^(n(n-1)) candidate strict relations,
     keeping the antisymmetric transitive ones. Independent of
-    enumerate_posets by construction; guarded to n <= 5.
+    enumerate_posets by construction; guarded to n <= 5. numpy is
+    imported past the guards, so the other oracles load without it.
     """
     if n < 0:
         raise IndexOutOfRange(f"negative ground set size {n}")
@@ -357,6 +356,8 @@ def brute_force_poset_count(n: int) -> int:
         raise TooLarge(f"brute census guarded to n <= 5, got {n}")
     if n == 0:
         return 1
+    import numpy as np
+
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     m = len(off)
     total = 0

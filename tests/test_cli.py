@@ -478,6 +478,39 @@ def test_convert_cover_vertex_outside_pair_digraph_exits_2(capsys, tmp_path):
     assert err == f"error: {cover}: vertex 9 outside 0..2\n"
 
 
+def test_convert_cyclic_cover_class_is_a_violation(capsys, tmp_path):
+    # both pairs of a 2-antichain lie below each other in its pair digraph
+    order = write(tmp_path, "anti.json", {"kind": "quasi", "n": 2, "pairs": []})
+    cover = write(tmp_path, "cover.json", {"classes": [[0, 1]]})
+    code, out, err = invoke(capsys, "convert", "cover-to-ext", order, cover)
+    assert code == 1 and out == ""
+    assert err == "property violated: class (0, 1) holds cycle (0, 1)\n"
+
+
+def test_out_may_name_the_input(capsys, crown):
+    _, plain, _ = invoke(capsys, "dim", crown)
+    code, out, err = invoke(capsys, "dim", crown, "--out", crown)
+    assert (code, out, err) == (0, "", "")
+    assert Path(crown).read_text() == plain
+
+
+def test_refused_command_leaves_no_out_file(capsys, tmp_path, crown):
+    result = tmp_path / "r.json"
+    code, out, err = invoke(
+        capsys, "dim", crown, "--budget", "-1", "--out", str(result)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be at least 0, got -1\n"
+    assert not result.exists()
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path, crown):
+    result = tmp_path / "missing" / "r.json"
+    code, out, err = invoke(capsys, "dim", crown, "--out", str(result))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot open {result}: ")
+
+
 def test_reduce_pg_embedding(capsys, c3):
     code, out, _ = invoke(capsys, "reduce", "pg", c3)
     assert code == 0
@@ -580,9 +613,9 @@ SURFACE_DIGESTS = {
     "convert -h": "f463f0bda647c06a447fb987608c5ed7f8b89433876ee46236d8cfa64f7f9a2e",
     "g0 -h": "99e2ab37fc7c26dea1c4a350a4cb67df88a273a7fd2cef89f7c7af0d2697b929",
     "hom -h": "6e3cd12c4c24786353ed97896e7cd606ed632acaabd91391bcaebf5cb44935f0",
-    "gen -h": "d8fe5c0a049c67657d0d37b03c9e111e86bb5483195d2ee910414e3ea4ad33e8",
+    "gen -h": "01d95e01ed1542b393a3931099778df1d56da64d237c9da3bf1607b4f49a64b9",
     "enumerate -h": "a4bfb894e21b210bc91e05124077a13675f457c100fc2081d41fb4c85006e967",
-    "verify -h": "38b2444c4c56be1bee7f79e2b27c239e1158008f85f29f54707d123e466d2490",
+    "verify -h": "5d5715fe85bd9b4310ddc384770f15c6781911fcdd6ecbea70e3d7f15b3021b7",
     "dim": "08ffb8ae3aa1448833d1c24b9949216e74aa72ece1fe118004ca4bd1261d98c4",
     "dicr": "3b282fa225dbf7a9ddc046252711909968b68527983c92cc63f1de6aea5b916e",
     "chrom": "8f08843d5a9308df3233d442ac74c70a870bb0bf633126943a64c63ee5ad5f61",
@@ -590,8 +623,8 @@ SURFACE_DIGESTS = {
     "convert": "8105e59476106d323f206ccd69a26b7791f1ec0303e752a9edffd98761380e1e",
     "g0": "f7491eedce8cc7318914199a6886af847c18182d5b331f79680e44ca78fe4977",
     "hom": "05da80a140237dd7f5ffba9344f350751d986244fc727a3ca46b651b792cb03e",
-    "gen": "c4538a1911a3d6c6d48f8823cba8aa2d08f890cc87da9f2271fcf16b4b24bd23",
-    "verify": "ff345e4d4f060c7effde5624d5ff738cdeaac2118d74ce020f457b5aed7f162a",
+    "gen": "86e7f62652c061e3dba072346c70560c7301855242bf5f4fcc5313d8061da025",
+    "verify": "f1deef69691ca0f8394d8d83b8f07b32a1c0deb090cc20120ac0df71685737de",
     "enumerate --n": "3f3b2a0bbcc67a0089054e6b33403e64ef4937cc18aba603d62ffb6caac9248a",
     "dim x.json --format yaml": "aaf57bc9b876433248263f5bd04121e4b01ddc005c893dd688145db9a04d7240",
     "--help": "19a412e2e754269046d2a59a667dd44a1617d504b473aa1b9ca08d9df9292f47",

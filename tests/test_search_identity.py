@@ -117,7 +117,7 @@ CAMPAIGN_DIGESTS = {
     "dicr-landmarks": "3b34f5cce08687947c43fcd1eeb72b49ae47b0e70e453506728d21d482828e7a",
     "graph-collapse": "a81194cd76bca39c705f970a9a36d5db29056265842a71c5745c028cb8774d0c",
     "h1plus": "f38a64e19adeaed9c9a3848f3c1fde1e0343430d3aeb499d22cb1a4daedfc4af",
-    "cyclefree-extends": "001a2902b82e91b980f805f33b8753e4670ecd0535f3f64c873a9a6d13f8c827",
+    "cyclefree-extends": "e89fddd16e79439695993bbdb00ccbc7b4af297c60afa9734f936a09f7a6ccc4",
     "roundtrip": "63bca30de70b83717bf4c8a598de57a324e1b758368124ca043611959d52c644",
     "g0": "e0bc5bcbc2c765e895090b5bc5df753ac0f6fd818038746a780670dda0fd8ac0",
     "xinapg": "ab9ab3fea2bf97275b3146aad980a3d843673d4e55910aa5f1873f0e2e7365ac",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import orderdim.selectors
 from orderdim import (
-    BranchTooLarge,
+    TooLarge,
     canonical_cycles,
     dense_selector,
     density_report,
@@ -153,7 +153,7 @@ def test_branch_guard(monkeypatch):
 
     monkeypatch.setattr(orderdim.selectors, "dense_selector", sel)
     for build in (selector_digraph, canonical_cycles):
-        with pytest.raises(BranchTooLarge):
+        with pytest.raises(TooLarge):
             build((4,) * 7)
     # the guard fires before the walk asks the selector anything
     assert asked == []
