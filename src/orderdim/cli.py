@@ -579,7 +579,7 @@ def _plain_value(kwargs, text):
 
 
 def _fast_parse(argv):
-    """The namespace build_parser() would return for a plain argv, or None.
+    """The namespace _parse would return for a plain argv, or None.
 
     Plain is a subcommand, then its positionals and options, each option
     spelled out in full with its value as the next argument. None, to
@@ -587,9 +587,7 @@ def _fast_parse(argv):
     --help; an argument starting with - (a negative number included),
     other than - itself, that is not exactly one of the subcommand's
     options; a missing, extra or out-of-choice positional; a value its
-    type rejects; a missing required option; and an option between the
-    positionals of a subcommand with an optional positional, since
-    argparse then gives the optional one no value and refuses the rest.
+    type rejects; and a missing required option.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
@@ -603,19 +601,15 @@ def _fast_parse(argv):
         if not kwargs.get("required"):
             store_true = kwargs.get("action") == "store_true"
             ns[name[2:]] = False if store_true else kwargs.get("default")
-    gapless = any(kwargs.get("nargs") == "?" for _, kwargs in positionals)
-    given, interrupted = [], False
+    given = []
     rest = iter(argv[1:])
     for arg in rest:
         if arg[:1] != "-" or arg == "-":
-            if interrupted and gapless:
-                return None
             given.append(arg)
             continue
         kwargs = options.get(arg)
         if kwargs is None:
             return None
-        interrupted = bool(given)
         if kwargs.get("action") == "store_true":
             ns[arg[2:]] = True
             continue
@@ -643,10 +637,52 @@ def _fast_parse(argv):
     return SimpleNamespace(**ns)
 
 
+def _options_last(argv):
+    """argv with the options that stand between the positionals of a
+    subcommand with an optional positional (hom's witness) moved after
+    the last positional.
+
+    argparse gives that optional positional no value once an option
+    interrupts the positionals, and then refuses the positional that
+    follows; the other subcommands take options anywhere and pass
+    through unchanged. So does an argv holding an argument that starts
+    with -, other than - itself, and is none of the subcommand's options
+    in full, abbreviated or with =value, or an option missing its value:
+    argparse then reports it as before.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return argv
+    arguments = SUBCOMMANDS[argv[0]][2]
+    if not any(kwargs.get("nargs") == "?" for _, kwargs in arguments):
+        return argv
+    options = {name: kwargs for name, kwargs in arguments if name[0] == "-"}
+    lead, words, moved = [], [], []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-" or arg == "-":
+            words.append(arg)
+            continue
+        name, eq, _ = arg.partition("=")
+        if name not in options:
+            # argparse takes an unambiguous prefix; --help is one more
+            full = [o for o in (*options, "--help") if o.startswith(name)]
+            if name[:2] != "--" or len(full) != 1 or full[0] == "--help":
+                return argv
+            name = full[0]
+        group = [arg]
+        if not eq and options[name].get("action") != "store_true":
+            text = next(rest, None)
+            if text is None or text[:1] == "-" and text != "-":
+                return argv
+            group.append(text)
+        (moved if words else lead).extend(group)
+    return [argv[0], *lead, *words, *moved]
+
+
 def _parse(argv):
     """Plain command lines from the table, the rest through argparse, so
     every help text, usage line and error is argparse's own."""
-    return _fast_parse(argv) or build_parser().parse_args(argv)
+    return _fast_parse(argv) or build_parser().parse_args(_options_last(argv))
 
 
 def run(argv) -> int:

@@ -112,7 +112,10 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
     closes the returned cycle, any other is stepped to.
 
     With no self-loops, at most two vertices a < b hold a cycle only when
-    both edges join them, and then the search returns (a, b).
+    both edges join them, and then the search returns (a, b). On more,
+    sinks are peeled off first: a vertex with no edge to the rest lies on
+    no cycle, so a peel that empties the mask settles it with no search.
+    Otherwise the search runs over the whole mask as before.
     """
     rest = mask & (mask - 1)
     if not rest & (rest - 1):
@@ -123,6 +126,17 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
         if rows[a] & rest and rows[b] >> a & 1:
             return Cycle((a, b))
         return None
+    rest = mask
+    while True:
+        left = rest
+        for v in bits_of(rest):
+            if not rows[v] & left:
+                left ^= 1 << v
+        if not left:
+            return None
+        if left == rest:
+            break
+        rest = left
     done = 0
     left = mask
     while left:

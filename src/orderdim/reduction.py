@@ -35,18 +35,25 @@ from .relations import (
 
 
 class PairVertexMap(Record):
-    """Pair digraph vertices in lexicographic order, with reverse lookup."""
+    """Pair digraph vertices in lexicographic order, with reverse lookup.
+
+    The lookup dict is built at the first index() call: most maps are
+    never asked."""
 
     __slots__ = ("pairs", "_index")
     _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         set_slot(self, "pairs", pairs)
-        set_slot(self, "_index", {p: i for i, p in enumerate(pairs)})
+        set_slot(self, "_index", None)
 
     def index(self, pair: tuple[int, int]) -> int:
+        lookup = self._index
+        if lookup is None:
+            lookup = {p: i for i, p in enumerate(self.pairs)}
+            set_slot(self, "_index", lookup)
         try:
-            return self._index[tuple(pair)]
+            return lookup[tuple(pair)]
         except KeyError:
             raise IndexOutOfRange(f"{pair} is not a pair vertex") from None
 
@@ -99,25 +106,55 @@ def pair_digraph(
             f"{count} pair vertices exceed the pair vertex guard of "
             f"{MAX_PAIR_VERTICES}"
         )
-    pairs = [(x, y) for x, ys in enumerate(ends) for y in bits_of(ys)]
-    rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
+    pairs, rows = _pair_out_rows(ends, q.rows)
     return Digraph(len(pairs), tuple(rows)), PairVertexMap(tuple(pairs))
 
 
-def _pair_edges(n: int, pairs, key: int, reach, hit: int) -> list[int]:
-    """Edge masks of the pair digraph on pairs, (x0, y0) -> (x1, y1) iff
-    y0 <= x1: entry v holds every pair u whose end u[hit] lies in
-    reach[pairs[v][key]].
+def _pair_out_rows(seconds, reach) -> tuple[list, list[int]]:
+    """The pairs (x, y) with y in seconds[x], in lexicographic order, and
+    the out-rows of their pair digraph: (x0, y0) -> (x1, y1) iff x1 lies
+    in reach[y0], which says y0 <= x1 when reach is the base's rows.
 
-    With key 1, reach[y] = {x : y <= x} and hit 0 these are the out-rows,
-    which depend only on y; with key 0, reach[x] = {y : y <= x} and hit 1
-    the in-columns, which depend only on x. Each is built once per
-    distinct end.
+    The pairs with first coordinate x take one block of consecutive
+    indices, so an out-row is the OR of the blocks of reach[y0]. It
+    depends only on y0 and is built once per distinct y0.
+    """
+    blocks = [0] * len(reach)
+    firsts = start = 0
+    for x, ys in enumerate(seconds):
+        if ys:
+            width = ys.bit_count()
+            blocks[x] = ((1 << width) - 1) << start
+            start += width
+            firsts |= 1 << x
+    memo = [-1] * len(reach)
+    pairs = []
+    rows = []
+    for x in bits_of(firsts):
+        for y in bits_of(seconds[x]):
+            m = memo[y]
+            if m < 0:
+                m = 0
+                for x1 in bits_of(reach[y] & firsts):
+                    m |= blocks[x1]
+                memo[y] = m
+            pairs.append((x, y))
+            rows.append(m)
+    return pairs, rows
+
+
+def _pair_edges(n: int, pairs, below) -> list[int]:
+    """In-columns of the pair digraph on pairs, (x0, y0) -> (x1, y1) iff
+    y0 <= x1: entry v holds every pair whose second coordinate lies in
+    below[x1], where pairs[v] = (x1, y1) and below[x] = {y : y <= x}.
+
+    A column depends only on x1 and is built once per distinct x1, from
+    the mask of the pairs with each second coordinate.
     """
     by_end = [0] * n
     bit = 1
     for p in pairs:
-        by_end[p[hit]] |= bit
+        by_end[p[1]] |= bit
         bit <<= 1
     present = 0
     for e, m in enumerate(by_end):
@@ -126,16 +163,16 @@ def _pair_edges(n: int, pairs, key: int, reach, hit: int) -> list[int]:
     memo = [-1] * n
     out = []
     for p in pairs:
-        end = p[key]
-        m = memo[end]
+        x = p[0]
+        m = memo[x]
         if m < 0:
             m = 0
-            r = reach[end] & present
+            r = below[x] & present
             while r:
                 low = r & -r
                 m |= by_end[low.bit_length() - 1]
                 r ^= low
-            memo[end] = m
+            memo[x] = m
         out.append(m)
     return out
 
@@ -160,7 +197,8 @@ def critical_pair_digraph(
 def _critical_pair_frame(q: QuasiOrder):
     """critical_pair_digraph(q), _peel_frame(q), which it reads, and the
     digraph's in-columns, so the search need not transpose it. TooLarge
-    as soon as the pairs listed pass MAX_PAIR_VERTICES."""
+    as soon as the pairs counted pass MAX_PAIR_VERTICES, before any is
+    listed."""
     frame = same, down, up = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
@@ -168,21 +206,24 @@ def _critical_pair_frame(q: QuasiOrder):
     for x in range(q.n):
         if same[x] & -same[x] == 1 << x:
             leaders |= 1 << x
-    pairs = []
+    seconds = [0] * q.n
+    count = 0
     for b in bits_of(leaders):
         db, ub = down[b], up[b]
+        ys = 0
         for a in bits_of(leaders & ~(db | ub | same[b])):
             if down[a] & ~db == 0 and ub & ~up[a] == 0:
-                pairs.append((b, a))
-        if len(pairs) > MAX_PAIR_VERTICES:
+                ys |= 1 << a
+        seconds[b] = ys
+        count += ys.bit_count()
+        if count > MAX_PAIR_VERTICES:
             raise TooLarge(
                 f"over {MAX_PAIR_VERTICES} critical pairs exceed the pair "
                 "vertex guard"
             )
-    pairs = tuple(pairs)
-    rows = _pair_edges(q.n, pairs, 1, q.rows, 0)
-    cols = _pair_edges(q.n, pairs, 0, [s | d for s, d in zip(same, down)], 1)
-    return Digraph(len(pairs), tuple(rows)), pairs, frame, cols
+    pairs, rows = _pair_out_rows(seconds, q.rows)
+    cols = _pair_edges(q.n, pairs, [s | d for s, d in zip(same, down)])
+    return Digraph(len(pairs), tuple(rows)), tuple(pairs), frame, cols
 
 
 def extension_pairs(
@@ -232,8 +273,7 @@ def _pair_cycle(base: QuasiOrder, pair_rows) -> CycleInX:
     """CycleInX of the pairs offered in pair_rows (bit b of row a offers
     (a, b)) when their closure merges classes: a cycle of their pair
     digraph, found by the DFS that every cover check runs."""
-    pairs = [(a, b) for a in range(base.n) for b in bits_of(pair_rows[a])]
-    rows = _pair_edges(base.n, pairs, 1, base.rows, 0)
+    pairs, rows = _pair_out_rows(pair_rows, base.rows)
     cycle = _cycle_in(rows, (1 << len(pairs)) - 1)
     return CycleInX(pairs[v] for v in cycle.verts)
 

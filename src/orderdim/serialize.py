@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .digraphs import Digraph, HomWitness, digraph
-from .errors import OrderdimError
+from .digraphs import Digraph, HomWitness
+from .errors import IndexOutOfRange, OrderdimError
 from .reduction import AcyclicCover, ExtensionFamily
-from .relations import QuasiOrder, quasi_order
+from .relations import QuasiOrder, close_rows
 
 
 # Largest element or vertex count an instance may declare. It admits
@@ -84,21 +84,36 @@ def parse_json(text: str) -> Any:
         raise FormatError(f"not valid JSON: {exc}") from None
 
 
-def _int_pairs(raw, what: str) -> list[tuple[int, int]]:
+def _read_pairs(raw, what: str, rows: list[int]):
+    """OR each [i, j] item of raw into rows[i] as bit j, in one pass.
+
+    A malformed item anywhere raises FormatError at once, naming the
+    first one. Self-loops and pairs outside 0..len(rows) - 1 are left to
+    the caller, which raises in its own order: returns the first
+    self-loop item and the first out-of-range one, each None if none.
+    """
     if not isinstance(raw, list):
         raise FormatError(f"{what} must be a list of pairs")
-    out = []
+    n = len(rows)
+    loop = outside = None
     for item in raw:
-        # type() and not isinstance(): JSON true and false are bools
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and type(item[0]) is int
-            and type(item[1]) is int
-        ):
-            raise FormatError(f"{what} entry {item!r} is not an int pair")
-        out.append((item[0], item[1]))
-    return out
+        if isinstance(item, list) and len(item) == 2:
+            i, j = item
+            # type() and not isinstance(): JSON true and false are bools
+            if type(i) is int and type(j) is int:
+                if 0 <= i < n and 0 <= j < n:
+                    rows[i] |= 1 << j
+                elif outside is None:
+                    outside = item
+                if i == j and loop is None:
+                    loop = item
+                continue
+        raise FormatError(f"{what} entry {item!r} is not an int pair")
+    return loop, outside
+
+
+def _outside(what: str, item, n: int) -> IndexOutOfRange:
+    return IndexOutOfRange(f"{what} ({item[0]}, {item[1]}) outside 0..{n - 1}")
 
 
 def _declared_n(doc: dict) -> int:
@@ -116,22 +131,29 @@ def order_from_payload(doc: Any) -> QuasiOrder:
     if not isinstance(doc, dict) or doc.get("kind") != "quasi":
         raise FormatError('expected an object with "kind": "quasi"')
     n = _declared_n(doc)
-    pairs = _int_pairs(doc.get("pairs", []), "pairs")
+    rows = [1 << i for i in range(n)]
+    _, outside = _read_pairs(doc.get("pairs", []), "pairs", rows)
     closure = doc.get("closure", False)
     if not isinstance(closure, bool):
         raise FormatError('"closure" must be a bool')
-    return quasi_order(n, pairs, close=closure)
+    if outside is not None:
+        raise _outside("pair", outside, n)
+    if closure:
+        close_rows(rows, n)
+    return QuasiOrder(n, tuple(rows))
 
 
 def digraph_from_payload(doc: Any) -> Digraph:
     if not isinstance(doc, dict) or doc.get("kind") != "digraph":
         raise FormatError('expected an object with "kind": "digraph"')
     n = _declared_n(doc)
-    edges = _int_pairs(doc.get("edges", []), "edges")
-    for i, j in edges:
-        if i == j:
-            raise FormatError(f"self-loop at {i} is not allowed")
-    return digraph(n, edges)
+    rows = [0] * n
+    loop, outside = _read_pairs(doc.get("edges", []), "edges", rows)
+    if loop is not None:
+        raise FormatError(f"self-loop at {loop[0]} is not allowed")
+    if outside is not None:
+        raise _outside("edge", outside, n)
+    return Digraph(n, tuple(rows))
 
 
 def cover_from_payload(doc: Any) -> AcyclicCover:
@@ -151,10 +173,14 @@ def family_from_payload(doc: Any, base: QuasiOrder) -> ExtensionFamily:
         raise FormatError('expected an object with "extensions"')
     if not isinstance(doc["extensions"], list):
         raise FormatError('"extensions" must be a list')
+    n = base.n
     exts = []
     for raw in doc["extensions"]:
-        pairs = _int_pairs(raw, "extension")
-        exts.append(quasi_order(base.n, pairs, close=False))
+        rows = [1 << i for i in range(n)]
+        _, outside = _read_pairs(raw, "extension", rows)
+        if outside is not None:
+            raise _outside("pair", outside, n)
+        exts.append(QuasiOrder(n, tuple(rows)))
     return ExtensionFamily(base, tuple(exts))
 
 

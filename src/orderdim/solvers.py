@@ -98,35 +98,35 @@ def _has_odd_mutual_cycle(mut: dict[int, int]) -> bool:
 
 def _cover_scc(
     rows, cols, verts: tuple[int, ...], budget: int, counter: list[int]
-) -> tuple[int, list[list[int]]]:
-    """Exact minimum acyclic vertex cover of one strong component.
+) -> tuple[int, list[int]]:
+    """Exact minimum acyclic vertex cover of one strong component, as
+    the member masks of its classes; verts ascending.
 
     Tries k upward from a lower bound: the greedy mutual clique, at least
     2 (a strong component with two vertices holds a cycle), and 3 when
     the mutual edges hold an odd cycle.
     """
-    order = sorted(
-        verts, key=lambda v: (-(rows[v].bit_count() + cols[v].bit_count()), v)
-    )
+    # descending degree, ties by id: the sort keeps the ascending order
+    # of equal keys even when reversed
+    degree = {v: rows[v].bit_count() + cols[v].bit_count() for v in verts}
+    order = sorted(verts, key=degree.__getitem__, reverse=True)
     m = len(order)
     mut = _mutual_rows(rows, cols, verts)
     lower = max(2, len(_greedy_mutual_clique(mut)))
     if lower == 2 and _has_odd_mutual_cycle(mut):
         lower = 3
     for k in range(lower, m + 1):
-        assign = _assign_classes(rows, cols, order, k, budget, counter)
-        if assign is not None:
-            classes: list[list[int]] = [[] for _ in range(k)]
-            for i, v in enumerate(order):
-                classes[assign[i]].append(v)
-            return k, [sorted(c) for c in classes if c]
+        masks = _assign_classes(rows, cols, order, k, budget, counter)
+        if masks is not None:
+            return k, [c for c in masks if c]
     raise AssertionError("singleton classes are always feasible")
 
 
 def _assign_classes(
     rows, cols, order: list[int], k: int, budget: int, counter: list[int]
 ) -> list[int] | None:
-    """Backtracking k-class assignment keeping every class acyclic.
+    """Backtracking k-class assignment keeping every class acyclic; the
+    member mask of each class, or None when k classes cannot do.
 
     Classes open in index order (the first vertex placed in a fresh class
     is the earliest unassigned one), which breaks class symmetry, so depth
@@ -188,7 +188,7 @@ def _assign_classes(
         masks[c] = members | vbits[depth]
         if depth == m - 1:
             counter[0] = nodes
-            return assign
+            return masks
         # a fresh class opens at the next depth unless all k are open
         lim = limit[depth]
         depth += 1
@@ -215,21 +215,21 @@ def _dichromatic(d: Digraph, cols, budget: int) -> DicrResult:
         return DicrResult(0, AcyclicCover(()))
     counter = [0]
     k_total = 1
-    solved: list[list[list[int]]] = []
-    singles: list[int] = []
+    merged = [0]
     for comp in _strong_components(d.rows, cols):
         if len(comp) == 1:
-            singles.append(comp[0])
+            merged[0] |= 1 << comp[0]
             continue
-        k_c, classes = _cover_scc(d.rows, cols, comp, budget, counter)
-        k_total = max(k_total, k_c)
-        solved.append(classes)
-    merged: list[set[int]] = [set() for _ in range(k_total)]
-    merged[0].update(singles)
-    for classes in solved:
-        for j, cls in enumerate(classes):
-            merged[j].update(cls)
-    cover = AcyclicCover(tuple(tuple(sorted(c)) for c in merged))
+        k_c, masks = _cover_scc(d.rows, cols, comp, budget, counter)
+        if k_c > k_total:
+            merged += [0] * (k_c - k_total)
+            k_total = k_c
+        for j, mask in enumerate(masks):
+            merged[j] |= mask
+    # lists, not tuples: tuple() of the bit walk of a mask of 24 or more
+    # vertices grows by reallocation, which raised the peak RSS of a
+    # dim-search run by half a megabyte
+    cover = AcyclicCover([list(bits_of(m)) for m in merged])
     check_cover(d, cover)
     return DicrResult(k_total, cover)
 

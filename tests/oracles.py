@@ -297,6 +297,56 @@ def loop_extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     return True
 
 
+def dfs_cycle_in(rows, mask: int) -> Cycle | None:
+    """The depth-first search that digraphs._cycle_in ran on every mask
+    before it peeled sinks: starts and neighbours ascending, the first
+    grey vertex met closes the returned cycle, and two vertices hold one
+    only when both edges join them."""
+    rest = mask & (mask - 1)
+    if not rest & (rest - 1):
+        if not rest:
+            return None
+        a = (mask ^ rest).bit_length() - 1
+        b = rest.bit_length() - 1
+        if rows[a] & rest and rows[b] >> a & 1:
+            return Cycle((a, b))
+        return None
+    done = 0
+    left = mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        grey = 1 << start
+        path = [start]
+        pending = [rows[start] & mask]
+        while pending:
+            nxt = pending[-1] & ~done
+            if nxt:
+                low = nxt & -nxt
+                w = low.bit_length() - 1
+                if grey & low:
+                    return Cycle(tuple(path[path.index(w):]))
+                pending[-1] = nxt ^ low
+                grey |= low
+                path.append(w)
+                pending.append(rows[w] & mask)
+            else:
+                pending.pop()
+                low = 1 << path.pop()
+                grey ^= low
+                done |= low
+        left &= ~done
+    return None
+
+
+def pair_edge_rows(q: QuasiOrder, pairs) -> list[int]:
+    """Out-rows of the pair digraph on pairs, straight from the
+    definition: (x0, y0) -> (x1, y1) iff y0 is below-or-equal x1."""
+    return [
+        sum(1 << v for v, (x1, _) in enumerate(pairs) if q.leq(y0, x1))
+        for _, y0 in pairs
+    ]
+
+
 def relation_is_reflexive(rows: tuple[int, ...]) -> bool:
     return all(rows[i] >> i & 1 for i in range(len(rows)))
 

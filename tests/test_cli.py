@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 import orderdim
 from orderdim.campaigns import CAMPAIGNS
-from orderdim.cli import SUBCOMMANDS, _fast_parse, build_parser, main, run
+from orderdim.cli import (
+    SUBCOMMANDS,
+    _fast_parse,
+    _options_last,
+    build_parser,
+    main,
+    run,
+)
 
 from .test_search_identity import CAMPAIGN_DIGESTS
 
@@ -245,6 +252,24 @@ def test_hom_check_reads_the_budget(capsys, tmp_path, monkeypatch, c3):
     monkeypatch.setenv("DICHRO_BUDGET", "0")
     code, out, err = invoke(capsys, *argv)
     assert code == 3 and out == "" and "budget" in err.lower()
+
+
+def test_hom_takes_options_between_its_positionals(capsys, tmp_path, c3):
+    code, out, _ = invoke(capsys, "hom", "find", c3, c3, "--minimal")
+    witness = str(tmp_path / "w.json")
+    Path(witness).write_text(out)
+    for argv, options in (
+        (["hom", "check", c3, c3, witness], ["--budget", "5"]),
+        (["hom", "check", c3, c3, witness], ["--budget", "100000"]),
+        (["hom", "find", c3, c3, witness], ["--minimal"]),
+        (["hom", "check", c3, c3, witness], ["--format", "text"]),
+        (["hom", "find", c3, c3, witness], ["--min", "--budget=9"]),
+    ):
+        last = invoke(capsys, *argv, *options)
+        assert last[0] == 0 and last[1], (argv, options)
+        for at in range(1, len(argv)):
+            line = argv[:at] + options + argv[at:]
+            assert invoke(capsys, *line) == last, line
 
 
 def test_negative_budget_is_usage_error(capsys, c3):
@@ -681,12 +706,36 @@ def test_parse_matches_the_argparse_parser(capsys, monkeypatch):
         assert fast is not None, argv
         assert vars(fast) == vars(build_parser().parse_args(argv)), argv
     # argparse gives hom's optional witness no value once an option
-    # interrupts the positionals, and then refuses the witness
+    # interrupts the positionals, and then refuses the witness; both
+    # parsers read such a line as its options-last form
+    last = ["hom", "find", "g.json", "h.json", "w.json", "--minimal"]
+    for argv in (
+        ["hom", "find", "g.json", "h.json", "--minimal", "w.json"],
+        ["hom", "find", "g.json", "--minimal", "h.json", "w.json"],
+        ["hom", "find", "g.json", "h.json", "--min", "w.json"],
+    ):
+        assert _options_last(argv)[:5] == last[:5]
+        assert vars(_parse_via_argparse(argv)) == vars(_fast_parse(last))
     argv = ["hom", "find", "g.json", "h.json", "--minimal", "w.json"]
-    assert _fast_parse(argv) is None
+    assert vars(_fast_parse(argv)) == vars(_fast_parse(last))
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+    # other subcommands, and lines argparse must word an error for, are
+    # left as they are
+    for argv in (
+        ["gen", "crown", "--n", "3", "extra"],
+        ["hom", "find", "g.json", "--budget", "h.json", "--bogus", "w"],
+        ["hom", "find", "g.json", "--budget", "-5", "h.json", "w.json"],
+        ["hom", "find", "g.json", "--", "h.json", "w.json"],
+        ["hom", "find", "g.json", "--h", "h.json", "w.json"],
+    ):
+        assert _options_last(argv) == argv
+
+
+def _parse_via_argparse(argv):
+    """What _parse returns for argv when the fast path leaves it."""
+    return build_parser().parse_args(_options_last(argv))
 
 
 _FLAGS = sorted(
@@ -773,10 +822,58 @@ def test_fast_parse_accepts_only_what_argparse_parses_alike(argv):
     if fast is None:
         return
     try:
-        full = build_parser().parse_args(argv)
+        full = _parse_via_argparse(argv)
     except SystemExit as exc:
         pytest.fail(f"argparse exits {exc.code} on {argv}")
     assert _items(fast) == _items(full), argv
+
+
+_HOM_OPTIONS = st.sampled_from((
+    ("--minimal",), ("--min",), ("--format", "text"), ("--format=json",),
+    ("--budget", "5"), ("--bud", "0"), ("--budget=7",), ("--out", "o.json"),
+))
+
+
+@st.composite
+def _interleaved_hom_argv(draw):
+    """A well-formed hom line with its options among its positionals, in
+    full, abbreviated or with =value, and the same line options last."""
+    positionals = [
+        "hom",
+        draw(st.sampled_from(("find", "check"))),
+        "g.json",
+        "h.json",
+        *draw(st.lists(st.just("w.json"), max_size=1)),
+    ]
+    groups = draw(st.lists(_HOM_OPTIONS, min_size=1, max_size=4))
+    argv = positionals[:1]
+    slots = [draw(st.integers(1, len(positionals))) for _ in groups]
+    for i, word in enumerate(positionals[1:], 1):
+        for slot, group in zip(slots, groups):
+            if slot == i:
+                argv += group
+        argv.append(word)
+    for slot, group in zip(slots, groups):
+        if slot == len(positionals):
+            argv += group
+    # options keep their order, which decides between repeated ones
+    placed = sorted(zip(slots, range(len(groups))))
+    return argv, positionals + [w for _, i in placed for w in groups[i]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interleaved_hom_argv())
+@example((
+    ["hom", "check", "g.json", "h.json", "--budget", "5", "w.json"],
+    ["hom", "check", "g.json", "h.json", "w.json", "--budget", "5"],
+))
+def test_both_parsers_read_interleaved_hom_lines_options_last(lines):
+    argv, last = lines
+    full = _parse_via_argparse(argv)
+    assert _items(full) == _items(build_parser().parse_args(last)), argv
+    fast = _fast_parse(argv)
+    if fast is not None:
+        assert _items(fast) == _items(full), argv
 
 
 def test_closed_stdout_pipe_exits_two():

@@ -34,12 +34,14 @@ from orderdim import (
     verify_homomorphism,
 )
 
+from orderdim.digraphs import _cycle_in
 from orderdim.rng import SplitMix64
 
 from .oracles import (
     brute_minimal_cycle_sets,
     brute_scc,
     colour_dfs_is_acyclic,
+    dfs_cycle_in,
     subset_is_acyclic,
 )
 
@@ -108,6 +110,31 @@ def test_is_acyclic_returns_the_colour_dfs_witness():
                 with pytest.raises(IndexOutOfRange):
                     is_acyclic(d, bad)
     assert cyclic >= 100 and acyclic >= 100
+
+
+def test_sink_peel_keeps_every_dfs_verdict_and_witness_up_to_four():
+    # every digraph on at most 4 vertices, every vertex mask
+    seen = {True: 0, False: 0}
+    for n in range(5):
+        slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for edges in range(1 << len(slots)):
+            rows = [0] * n
+            for k, (i, j) in enumerate(slots):
+                if edges >> k & 1:
+                    rows[i] |= 1 << j
+            for mask in range(1 << n):
+                got = _cycle_in(rows, mask)
+                assert got == dfs_cycle_in(rows, mask), (rows, mask)
+                seen[got is None] += 1
+    assert seen[True] > 10_000 and seen[False] > 10_000
+
+
+@given(digraphs(12), st.data())
+@settings(max_examples=300)
+def test_sink_peel_keeps_every_dfs_verdict_and_witness(d, data):
+    full = (1 << d.n) - 1
+    for mask in (full, data.draw(st.integers(0, full))):
+        assert _cycle_in(d.rows, mask) == dfs_cycle_in(d.rows, mask)
 
 
 def _small_classes(n, data):

@@ -237,6 +237,29 @@ def test_pair_vertex_map_index_stays_out_of_the_contract():
     assert pickle.loads(pickle.dumps(pvm)).index((1, 0)) == 1
 
 
+def test_pair_vertex_map_is_the_same_before_and_after_a_lookup():
+    pairs = ((0, 1), (0, 2), (2, 1))
+    fresh, used = PairVertexMap(pairs), PairVertexMap(pairs)
+    assert used.index((2, 1)) == 2
+    for pvm in (fresh, PairVertexMap(pairs)):
+        assert pvm == used and used == pvm and hash(pvm) == hash(used)
+        assert repr(pvm) == repr(used) == f"PairVertexMap(pairs={pairs})"
+        assert pickle.dumps(pvm) == pickle.dumps(used)
+        assert pickle.loads(pickle.dumps(used)) == pvm
+    for pvm in (fresh, used):
+        for bad, message in (
+            ((1, 0), r"^\(1, 0\) is not a pair vertex$"),
+            ([0, 0], r"^\[0, 0\] is not a pair vertex$"),
+        ):
+            with pytest.raises(IndexOutOfRange, match=message):
+                pvm.index(bad)
+        with pytest.raises(TypeError):
+            pvm.index([[0], 1])
+    assert [fresh.index(p) for p in pairs] == [0, 1, 2]
+    with pytest.raises(AttributeError):
+        fresh.pairs = ()
+
+
 def test_normalisations():
     assert AcyclicCover([[3, 1, 3], []]).classes == ((1, 3), ())
     fam = _family()

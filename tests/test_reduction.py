@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +12,11 @@ from orderdim import (
     AcyclicCover,
     BadPair,
     CycleInX,
+    Digraph,
     ExtensionFamily,
     Incomplete,
     IncompleteFamily,
+    IndexOutOfRange,
     InvalidCover,
     NotExtension,
     SizeMismatch,
@@ -46,12 +50,18 @@ from orderdim import (
     undecided_pair,
 )
 from orderdim import reduction
-from orderdim.reduction import _critical_pair_frame
+from orderdim.reduction import _critical_pair_frame, _pair_cycle
 from orderdim.serialize import MAX_INPUT_N
 from orderdim.relations import StrictOrder
 from orderdim.rng import SplitMix64
 
-from .oracles import columns, critical_pairs, loop_undecided_pair
+from .oracles import (
+    columns,
+    critical_pairs,
+    dfs_cycle_in,
+    loop_undecided_pair,
+    pair_edge_rows,
+)
 
 
 def test_pair_digraph_of_three_chain():
@@ -106,6 +116,56 @@ def test_pair_digraph_matches_its_definition():
             for u, (_, y0) in enumerate(pvm.pairs):
                 for v, (x1, _) in enumerate(pvm.pairs):
                     assert ap.adj(u, v) == q.leq(y0, x1)
+
+
+@st.composite
+def merged_quasi_orders(draw, max_n: int = 7):
+    """The closure of a drawn relation in which the elements that draw
+    one class label are made mutual, so most orders merge classes."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    pairs = [(x, y) for x in range(n) for y in range(n) if label[x] == label[y]]
+    for x in range(n):
+        for y in draw(st.sets(st.integers(0, n - 1), max_size=1)):
+            pairs.append((x, y))
+    return quasi_order(n, pairs, close=True)
+
+
+@given(merged_quasi_orders(), st.data())
+@settings(max_examples=200)
+def test_pair_digraph_rows_match_the_definition(q, data):
+    for only in (False, True):
+        ap, pvm = pair_digraph(q, incomparable_only=only)
+        assert list(pvm.pairs) == [
+            (x, y)
+            for x in range(q.n)
+            for y in range(q.n)
+            if not q.leq(y, x) and not (only and q.leq(x, y))
+        ]
+        assert list(ap.rows) == pair_edge_rows(q, pvm.pairs)
+    cp, pairs = critical_pair_digraph(q)
+    assert list(pairs) == sorted((b, a) for a, b in critical_pairs(q))
+    assert list(cp.rows) == pair_edge_rows(q, pairs)
+    assert _critical_pair_frame(q)[3] == columns(cp.rows, cp.n)
+    # offered pairs whose closure merges classes: the cycle the DFS finds
+    # in their pair digraph, built from the definition
+    vertices = pair_digraph(q)[1].pairs
+    if not vertices:
+        return
+    offered = data.draw(st.sets(st.sampled_from(vertices), max_size=6))
+    if data.draw(st.booleans()):
+        # an incomparable pair and its reversal make a 2-cycle
+        offered |= {(y, x) for x, y in offered if (y, x) in vertices}
+    offered = sorted(offered)
+    pair_rows = [0] * q.n
+    for a, b in offered:
+        pair_rows[a] |= 1 << b
+    want = dfs_cycle_in(pair_edge_rows(q, offered), (1 << len(offered)) - 1)
+    if want is None:
+        extend_by_pairs(q, offered)
+        return
+    got = _pair_cycle(q, pair_rows)
+    assert got.pairs == tuple(offered[v] for v in want.verts)
 
 
 def test_critical_pair_frame_columns_are_the_transpose():
@@ -241,6 +301,31 @@ def test_check_cover_validation():
     else:
         with pytest.raises(InvalidCover):
             check_cover(ap, full)
+
+
+def test_check_cover_names_the_first_vertex_out_of_range():
+    # classes are checked in turn, each for its range and then its cycles
+    d = directed_cycle(4)
+    for classes, error, message in (
+        (((0, 4),), IndexOutOfRange, "vertex 4 outside 0..3"),
+        (((-1, 0, 5),), IndexOutOfRange, "vertex -1 outside 0..3"),
+        (((1, 2), (3, 6, 7)), IndexOutOfRange, "vertex 6 outside 0..3"),
+        (
+            ((0, 1, 2, 3), (9,)),
+            InvalidCover,
+            "class (0, 1, 2, 3) holds cycle (0, 1, 2, 3)",
+        ),
+        (((0, 1), (2,)), InvalidCover, "vertices [3] uncovered"),
+        (((0, 1), (2, 3), ()), None, None),
+    ):
+        cover = AcyclicCover(classes)
+        if error is None:
+            check_cover(d, cover)
+            continue
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            check_cover(d, cover)
+    with pytest.raises(IndexOutOfRange, match=r"^vertex 0 outside 0\.\.-1$"):
+        check_cover(Digraph(0, ()), AcyclicCover(((0,),)))
 
 
 def test_cover_extension_round_trip_on_crown():
@@ -389,6 +474,7 @@ def test_pair_vertex_guard_fires_before_edges_are_built(monkeypatch):
         raise AssertionError("pair digraph edges built past the guard")
 
     monkeypatch.setattr(reduction, "_pair_edges", no_edges)
+    monkeypatch.setattr(reduction, "_pair_out_rows", no_edges)
     big = antichain_order(MAX_INPUT_N)
     for build in (
         pair_digraph,
