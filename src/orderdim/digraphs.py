@@ -115,7 +115,8 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
     both edges join them, and then the search returns (a, b). On more,
     sinks are peeled off first: a vertex with no edge to the rest lies on
     no cycle, so a peel that empties the mask settles it with no search.
-    Otherwise the search runs over the whole mask as before.
+    Otherwise the search runs over the whole mask, so the witness does
+    not depend on the peel.
     """
     rest = mask & (mask - 1)
     if not rest & (rest - 1):

@@ -124,7 +124,9 @@ def merged_quasi_orders(draw, max_n: int = 7):
     one class label are made mutual, so most orders merge classes."""
     n = draw(st.integers(1, max_n))
     label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    pairs = [(x, y) for x in range(n) for y in range(n) if label[x] == label[y]]
+    pairs = [
+        (x, y) for x in range(n) for y in range(n) if label[x] == label[y]
+    ]
     for x in range(n):
         for y in draw(st.sets(st.integers(0, n - 1), max_size=1)):
             pairs.append((x, y))
