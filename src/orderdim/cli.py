@@ -320,6 +320,8 @@ def _cmd_hom(args, out) -> int:
     g = _load(args.g, digraph_from_payload)
     h = _load(args.h, digraph_from_payload)
     if args.what == "find":
+        if args.witness is not None:
+            raise UsageError("hom find takes no witness file")
         w = find_homomorphism(
             g, h, minimal=args.minimal, budget=_resolve_budget(args)
         )
@@ -581,13 +583,15 @@ def _plain_value(kwargs, text):
 def _fast_parse(argv):
     """The namespace _parse would return for a plain argv, or None.
 
-    Plain is a subcommand, then its positionals and options, each option
-    spelled out in full with its value as the next argument. None, to
-    leave every help text, usage line and error to argparse, for: -h or
-    --help; an argument starting with - (a negative number included),
-    other than - itself, that is not exactly one of the subcommand's
-    options; a missing, extra or out-of-choice positional; a value its
-    type rejects; and a missing required option.
+    Plain is a subcommand, then its positionals and options in any
+    order. An option is named in full or by an unambiguous -- prefix,
+    with its value after = or as the next argument. None leaves every
+    help text, usage line and error to argparse. It is returned for: -h,
+    --help or a prefix of it; an argument starting with - (a negative
+    number too), other than - itself, that names no single option, --
+    among them; =value on a flag; a value of --, or a next-argument
+    value starting with -; a missing, extra or out-of-choice positional;
+    a value its type rejects; and a missing required option.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
@@ -607,19 +611,31 @@ def _fast_parse(argv):
         if arg[:1] != "-" or arg == "-":
             given.append(arg)
             continue
-        kwargs = options.get(arg)
-        if kwargs is None:
-            return None
+        name, eq, text = arg.partition("=")
+        if name not in options:
+            # argparse takes an unambiguous prefix; --help is one more
+            full = [o for o in (*options, "--help") if o.startswith(name)]
+            if name[:2] != "--" or len(full) != 1 or full[0] == "--help":
+                return None
+            name = full[0]
+        kwargs = options[name]
         if kwargs.get("action") == "store_true":
-            ns[arg[2:]] = True
+            if eq:
+                return None
+            ns[name[2:]] = True
             continue
-        text = next(rest, None)
-        if text is None or text[:1] == "-" and text != "-":
+        if not eq:
+            text = next(rest, None)
+            if text is None or text[:1] == "-" and text != "-":
+                return None
+        elif text == "--":
+            # argparse drops it as it drops a lone -- (3.11 then stores
+            # an empty list)
             return None
         value = _plain_value(kwargs, text)
         if value is None:
             return None
-        ns[arg[2:]] = value
+        ns[name[2:]] = value
     if any(name[2:] not in ns for name in options):
         return None
     least = sum(kwargs.get("nargs") != "?" for _, kwargs in positionals)
@@ -637,52 +653,10 @@ def _fast_parse(argv):
     return SimpleNamespace(**ns)
 
 
-def _options_last(argv):
-    """argv with the options that stand between the positionals of a
-    subcommand with an optional positional (hom's witness) moved after
-    the last positional.
-
-    argparse gives that optional positional no value once an option
-    interrupts the positionals, and then refuses the positional that
-    follows; the other subcommands take options anywhere and pass
-    through unchanged. So does an argv holding an argument that starts
-    with -, other than - itself, and is none of the subcommand's options
-    in full, abbreviated or with =value, or an option missing its value:
-    argparse then reports it as before.
-    """
-    if not argv or argv[0] not in SUBCOMMANDS:
-        return argv
-    arguments = SUBCOMMANDS[argv[0]][2]
-    if not any(kwargs.get("nargs") == "?" for _, kwargs in arguments):
-        return argv
-    options = {name: kwargs for name, kwargs in arguments if name[0] == "-"}
-    lead, words, moved = [], [], []
-    rest = iter(argv[1:])
-    for arg in rest:
-        if arg[:1] != "-" or arg == "-":
-            words.append(arg)
-            continue
-        name, eq, _ = arg.partition("=")
-        if name not in options:
-            # argparse takes an unambiguous prefix; --help is one more
-            full = [o for o in (*options, "--help") if o.startswith(name)]
-            if name[:2] != "--" or len(full) != 1 or full[0] == "--help":
-                return argv
-            name = full[0]
-        group = [arg]
-        if not eq and options[name].get("action") != "store_true":
-            text = next(rest, None)
-            if text is None or text[:1] == "-" and text != "-":
-                return argv
-            group.append(text)
-        (moved if words else lead).extend(group)
-    return [argv[0], *lead, *words, *moved]
-
-
 def _parse(argv):
-    """Plain command lines from the table, the rest through argparse, so
-    every help text, usage line and error is argparse's own."""
-    return _fast_parse(argv) or build_parser().parse_args(_options_last(argv))
+    """argv read from the table where _fast_parse can, else by argparse
+    as typed, so every help text, usage line and error is argparse's own."""
+    return _fast_parse(argv) or build_parser().parse_args(argv)
 
 
 def run(argv) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -19,7 +20,7 @@ from orderdim.campaigns import CAMPAIGNS
 from orderdim.cli import (
     SUBCOMMANDS,
     _fast_parse,
-    _options_last,
+    _parse,
     build_parser,
     main,
     run,
@@ -261,15 +262,38 @@ def test_hom_takes_options_between_its_positionals(capsys, tmp_path, c3):
     for argv, options in (
         (["hom", "check", c3, c3, witness], ["--budget", "5"]),
         (["hom", "check", c3, c3, witness], ["--budget", "100000"]),
-        (["hom", "find", c3, c3, witness], ["--minimal"]),
+        (["hom", "find", c3, c3], ["--minimal"]),
         (["hom", "check", c3, c3, witness], ["--format", "text"]),
-        (["hom", "find", c3, c3, witness], ["--min", "--budget=9"]),
+        (["hom", "check", c3, c3, witness], ["--min", "--budget=9"]),
     ):
         last = invoke(capsys, *argv, *options)
         assert last[0] == 0 and last[1], (argv, options)
         for at in range(1, len(argv)):
             line = argv[:at] + options + argv[at:]
             assert invoke(capsys, *line) == last, line
+
+
+def test_hom_find_refuses_a_witness_file(capsys, tmp_path, c3):
+    missing = str(tmp_path / "nonexistent.json")
+    for argv in (["hom", "find", c3, c3, missing],
+                 ["hom", "find", c3, "--minimal", c3, missing]):
+        assert invoke(capsys, *argv) == (
+            2, "", "error: hom find takes no witness file\n"
+        )
+
+
+def test_extra_hom_positional_after_an_option_is_refused_as_typed(capsys):
+    # the table refuses the line and argparse words the error for it as
+    # typed; 3.11 gives the witness nothing once the option interrupts
+    # hom's positionals, so w and x are both left over
+    argv = ["hom", "check", "g.json", "h.json", "--budget", "5", "w", "x"]
+    assert _fast_parse(argv) is None
+    code, out, err = invoke(capsys, *argv)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert (code, out, err) == (2, "", capsys.readouterr().err)
+    if sys.version_info[:2] == (3, 11):
+        assert err.endswith("error: unrecognized arguments: w x\n")
 
 
 def test_negative_budget_is_usage_error(capsys, c3):
@@ -692,47 +716,73 @@ def test_parse_matches_the_argparse_parser(capsys, monkeypatch):
     for argv in (
         ["dim", "o.json", "--budget", "5", "--format", "text"],
         ["dim", "--budget", "5", "-"],
+        ["dim", "o.json", "--bud=5", "--form", "text", "--out=-"],
         ["hom", "find", "g.json", "h.json"],
         ["hom", "check", "g.json", "h.json", "w.json", "--minimal"],
         ["hom", "--minimal", "find", "g.json", "h.json", "--budget", "7"],
         ["convert", "cover-to-ext", "o.json", "--out", "-", "c.json"],
         ["gen", "crown", "--n", "3", "--out", "c.json"],
         ["gen", "poset", "--p", "1e-1", "--seed", "1_0"],
+        ["gen", "poset", "--se=3", "--p=0.5"],
         ["g0", "density", "--sigma", "2,3", "--depth", "1"],
+        ["g0", "density", "--sig", "2,3"],
         ["enumerate"],
         ["verify", "g0", "--n", "2", "--seed", "4"],
+        ["verify", "g0", "--n=2"],
+        ["verify", "g0", "--budget=-5"],
     ):
         fast = _fast_parse(argv)
         assert fast is not None, argv
         assert vars(fast) == vars(build_parser().parse_args(argv)), argv
     # argparse gives hom's optional witness no value once an option
-    # interrupts the positionals, and then refuses the witness; both
-    # parsers read such a line as its options-last form
+    # interrupts the positionals; the table reads such a line as argparse
+    # reads it intermixed, which is its options-last form
     last = ["hom", "find", "g.json", "h.json", "w.json", "--minimal"]
     for argv in (
         ["hom", "find", "g.json", "h.json", "--minimal", "w.json"],
         ["hom", "find", "g.json", "--minimal", "h.json", "w.json"],
         ["hom", "find", "g.json", "h.json", "--min", "w.json"],
     ):
-        assert _options_last(argv)[:5] == last[:5]
-        assert vars(_parse_via_argparse(argv)) == vars(_fast_parse(last))
-    argv = ["hom", "find", "g.json", "h.json", "--minimal", "w.json"]
-    assert vars(_fast_parse(argv)) == vars(_fast_parse(last))
-    # other subcommands, and lines argparse must word an error for, are
-    # left as they are
+        assert vars(_fast_parse(argv)) == vars(_reference(argv))
+        assert vars(_fast_parse(argv)) == vars(_fast_parse(last))
+    # lines that argparse words an error or help for, or reads differently
+    # across versions, reach it as typed
     for argv in (
         ["gen", "crown", "--n", "3", "extra"],
+        ["gen", "crown", "--n=3", "--h"],
+        ["dim", "o.json", "--format=yaml"],
+        ["dim", "o.json", "--out=--"],
+        ["hom", "find", "g.json", "h.json", "--minimal="],
+        ["hom", "find", "g.json", "h.json", "--m=x"],
         ["hom", "find", "g.json", "--budget", "h.json", "--bogus", "w"],
         ["hom", "find", "g.json", "--budget", "-5", "h.json", "w.json"],
         ["hom", "find", "g.json", "--", "h.json", "w.json"],
         ["hom", "find", "g.json", "--h", "h.json", "w.json"],
     ):
-        assert _options_last(argv) == argv
+        assert _fast_parse(argv) is None, argv
+        full = _outcome(capsys, lambda: build_parser().parse_args(argv))
+        assert _outcome(capsys, lambda: _parse(argv)) == full, argv
 
 
-def _parse_via_argparse(argv):
-    """What _parse returns for argv when the fast path leaves it."""
-    return build_parser().parse_args(_options_last(argv))
+def _outcome(capsys, parse):
+    try:
+        result = vars(parse())
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def _reference(argv):
+    """argparse's reading of argv: intermixed for hom, whose optional
+    witness plain argparse leaves empty after an interleaved option."""
+    if argv[:1] != ["hom"]:
+        return build_parser().parse_args(argv)
+    _, handler, arguments = SUBCOMMANDS["hom"]
+    parser = argparse.ArgumentParser(prog="orderdim hom")
+    for arg, kwargs in arguments:
+        parser.add_argument(arg, **kwargs)
+    parser.set_defaults(command="hom", handler=handler)
+    return parser.parse_intermixed_args(argv[1:])
 
 
 _FLAGS = sorted(
@@ -819,7 +869,7 @@ def test_fast_parse_accepts_only_what_argparse_parses_alike(argv):
     if fast is None:
         return
     try:
-        full = _parse_via_argparse(argv)
+        full = _reference(argv)
     except SystemExit as exc:
         pytest.fail(f"argparse exits {exc.code} on {argv}")
     assert _items(fast) == _items(full), argv
@@ -866,11 +916,10 @@ def _interleaved_hom_argv(draw):
 ))
 def test_both_parsers_read_interleaved_hom_lines_options_last(lines):
     argv, last = lines
-    full = _parse_via_argparse(argv)
-    assert _items(full) == _items(build_parser().parse_args(last)), argv
     fast = _fast_parse(argv)
-    if fast is not None:
-        assert _items(fast) == _items(full), argv
+    assert fast is not None, argv
+    assert _items(fast) == _items(build_parser().parse_args(last)), argv
+    assert _items(fast) == _items(_reference(argv)), argv
 
 
 def test_closed_stdout_pipe_exits_two():
@@ -904,6 +953,9 @@ def test_cold_imports_skip_dataclasses_and_campaigns(tmp_path, crown, c3):
         {"kind": "quasi", "n": 3, "pairs": [[0, 1], [0, 2], [1, 2]]},
     )
     cover = write(tmp_path, "cover.json", {"classes": [[0, 1, 2]]})
+    witness = write(
+        tmp_path, "w.json", {"kind": "homwitness", "map": [0, 1, 2]}
+    )
     code = (
         "import sys; from orderdim.cli import main; "
         "code = main(sys.argv[2:]); "
@@ -917,7 +969,9 @@ def test_cold_imports_skip_dataclasses_and_campaigns(tmp_path, crown, c3):
         (["reduce", "ap", crown], light),
         (["convert", "cover-to-ext", chain, cover], light),
         (["g0", "selector", "--sigma", "2,2"], light[:3] + light[4:]),
+        (["dim", crown, "--form", "text"], light),
         (["hom", "find", c3, c3], light),
+        (["hom", "check", c3, c3, "--bud=100000", witness], light),
         (["gen", "crown", "--n", "3"], ("check", "selectors", "campaigns")),
         (["enumerate", "--n", "2"], ("check", "selectors", "campaigns")),
         (["verify", "g0", "--n", "1"], ()),
