@@ -655,8 +655,17 @@ def _fast_parse(argv):
 
 def _parse(argv):
     """argv read from the table where _fast_parse can, else by argparse
-    as typed, so every help text, usage line and error is argparse's own."""
-    return _fast_parse(argv) or build_parser().parse_args(argv)
+    as typed, so every help text, usage line and error is argparse's own.
+    An option given as --opt=-- has no value, yet argparse stores one (an
+    empty list on 3.11, where other versions may keep the "--"), so such
+    a line is re-read with the bare option, which argparse refuses."""
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        for name, _ in SUBCOMMANDS[args.command][2]:
+            if name[0] == "-" and getattr(args, name[2:]) in ([], "--"):
+                build_parser().parse_args([args.command, name])
+    return args
 
 
 def run(argv) -> int:

@@ -143,40 +143,6 @@ def _pair_out_rows(seconds, reach) -> tuple[list, list[int]]:
     return pairs, rows
 
 
-def _pair_edges(n: int, pairs, below) -> list[int]:
-    """In-columns of the pair digraph on pairs, (x0, y0) -> (x1, y1) iff
-    y0 <= x1: entry v holds every pair whose second coordinate lies in
-    below[x1], where pairs[v] = (x1, y1) and below[x] = {y : y <= x}.
-
-    A column depends only on x1 and is built once per distinct x1, from
-    the mask of the pairs with each second coordinate.
-    """
-    by_end = [0] * n
-    bit = 1
-    for p in pairs:
-        by_end[p[1]] |= bit
-        bit <<= 1
-    present = 0
-    for e, m in enumerate(by_end):
-        if m:
-            present |= 1 << e
-    memo = [-1] * n
-    out = []
-    for p in pairs:
-        x = p[0]
-        m = memo[x]
-        if m < 0:
-            m = 0
-            r = below[x] & present
-            while r:
-                low = r & -r
-                m |= by_end[low.bit_length() - 1]
-                r ^= low
-            memo[x] = m
-        out.append(m)
-    return out
-
-
 def critical_pair_digraph(
     q: QuasiOrder,
 ) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
@@ -195,10 +161,9 @@ def critical_pair_digraph(
 
 
 def _critical_pair_frame(q: QuasiOrder):
-    """critical_pair_digraph(q), _peel_frame(q), which it reads, and the
-    digraph's in-columns, so the search need not transpose it. TooLarge
-    as soon as the pairs counted pass MAX_PAIR_VERTICES, before any is
-    listed."""
+    """critical_pair_digraph(q) and _peel_frame(q), which it reads.
+    TooLarge as soon as the pairs counted pass MAX_PAIR_VERTICES, before
+    any is listed."""
     frame = same, down, up = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
@@ -222,8 +187,7 @@ def _critical_pair_frame(q: QuasiOrder):
                 "vertex guard"
             )
     pairs, rows = _pair_out_rows(seconds, q.rows)
-    cols = _pair_edges(q.n, pairs, [s | d for s, d in zip(same, down)])
-    return Digraph(len(pairs), tuple(rows)), tuple(pairs), frame, cols
+    return Digraph(len(pairs), tuple(rows)), tuple(pairs), frame
 
 
 def extension_pairs(

@@ -66,11 +66,7 @@ def cover_payload(c: AcyclicCover) -> dict:
 
 
 def family_payload(f: ExtensionFamily) -> dict:
-    return {
-        "extensions": [
-            [list(p) for p in e.related_pairs()] for e in f.exts
-        ]
-    }
+    return {"extensions": [_off_diagonal_pairs(e.rows) for e in f.exts]}
 
 
 def homwitness_payload(w: HomWitness) -> dict:

@@ -206,13 +206,9 @@ def dichromatic_number(
     cycle and join the first class.
     """
     _check_budget(budget)
-    return _dichromatic(d, transpose_rows(d.rows, d.n), budget)
-
-
-def _dichromatic(d: Digraph, cols, budget: int) -> DicrResult:
-    """dichromatic_number(d, budget), given the in-columns of d."""
     if d.n == 0:
         return DicrResult(0, AcyclicCover(()))
+    cols = transpose_rows(d.rows, d.n)
     counter = [0]
     k_total = 1
     merged = [0]
@@ -242,10 +238,9 @@ def chromatic_number(
     Each vertex takes the index of its class in the least acyclic cover.
     """
     _check_budget(budget)
-    cols = transpose_rows(g.rows, g.n)
-    if cols != list(g.rows):
+    if not g.is_symmetric():
         raise NotAGraph("chromatic number needs a symmetric edge relation")
-    res = _dichromatic(g, cols, budget)
+    res = dichromatic_number(g, budget)
     colors = [0] * g.n
     for c, cls in enumerate(res.witness.classes):
         for v in cls:
@@ -265,12 +260,12 @@ def order_dimension(
     answers 1 with its own linear extension.
     """
     _check_budget(budget)
-    cp, pairs, frame, cols = _critical_pair_frame(q)
+    cp, pairs, frame = _critical_pair_frame(q)
     if cp.n == 0:
         if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
         return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
-    res = _dichromatic(cp, cols, budget)
+    res = dichromatic_number(cp, budget)
     exts = _lift_pair_sets(
         q, frame, [[pairs[v] for v in cls] for cls in res.witness.classes]
     )

@@ -50,13 +50,12 @@ from orderdim import (
     undecided_pair,
 )
 from orderdim import reduction
-from orderdim.reduction import _critical_pair_frame, _pair_cycle
+from orderdim.reduction import _pair_cycle
 from orderdim.serialize import MAX_INPUT_N
 from orderdim.relations import StrictOrder
 from orderdim.rng import SplitMix64
 
 from .oracles import (
-    columns,
     critical_pairs,
     dfs_cycle_in,
     loop_undecided_pair,
@@ -148,7 +147,6 @@ def test_pair_digraph_rows_match_the_definition(q, data):
     cp, pairs = critical_pair_digraph(q)
     assert list(pairs) == sorted((b, a) for a, b in critical_pairs(q))
     assert list(cp.rows) == pair_edge_rows(q, pairs)
-    assert _critical_pair_frame(q)[3] == columns(cp.rows, cp.n)
     # offered pairs whose closure merges classes: the cycle the DFS finds
     # in their pair digraph, built from the definition
     vertices = pair_digraph(q)[1].pairs
@@ -168,12 +166,6 @@ def test_pair_digraph_rows_match_the_definition(q, data):
         return
     got = _pair_cycle(q, pair_rows)
     assert got.pairs == tuple(offered[v] for v in want.verts)
-
-
-def test_critical_pair_frame_columns_are_the_transpose():
-    for q in _pair_digraph_orders():
-        cp, _, _, cols = _critical_pair_frame(q)
-        assert cols == columns(cp.rows, cp.n)
 
 
 def test_critical_pairs_of_a_crown_are_its_matched_pairs():
@@ -475,7 +467,6 @@ def test_pair_vertex_guard_fires_before_edges_are_built(monkeypatch):
     def no_edges(*args):
         raise AssertionError("pair digraph edges built past the guard")
 
-    monkeypatch.setattr(reduction, "_pair_edges", no_edges)
     monkeypatch.setattr(reduction, "_pair_out_rows", no_edges)
     big = antichain_order(MAX_INPUT_N)
     for build in (
