@@ -51,6 +51,7 @@ from .relations import bits_of
 from .rng import SplitMix64
 from .selectors import canonical_cycles, level_edge_count, prefix_monotone
 from .serialize import (
+    _off_diagonal_pairs,
     cover_payload,
     digraph_payload,
     family_payload,
@@ -298,7 +299,7 @@ def run_cyclefree_extends(n, seed, budget):
             ext = extend_by_pairs(base, [tuple(p) for p in offered])
             witness = {
                 "outcome": "extension",
-                "extension": [list(p) for p in ext.related_pairs()],
+                "extension": _off_diagonal_pairs(ext.rows),
             }
         except CycleInX as exc:
             witness = {

@@ -20,6 +20,12 @@ from .relations import bits_of, transpose_rows
 
 
 class Digraph(Record):
+    """Bit rows of a digraph without self-loops.
+
+    Public construction validates the rows. The package skips that only
+    for digraphs it has just built with in-range, loop-free rows
+    (records.trusted)."""
+
     __slots__ = _fields = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[int, ...]):

@@ -6,6 +6,10 @@ Equality, hash and repr then run over `_fields`: objects are equal only
 to objects of the same class with equal fields, the hash is that of the
 field tuple, and the repr reads `Name(field=value, ...)`. Assigning or
 deleting any attribute raises AttributeError.
+
+A public constructor validates what it is given. `trusted` fills the
+fields without running `__init__`, for values that the package has just
+built by code whose own lines guarantee what `__init__` would check.
 """
 
 from __future__ import annotations
@@ -48,3 +52,14 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._key(self)
+
+
+def trusted(cls, *values):
+    """A cls record with values in _fields order, made without running
+    cls.__init__ and so without its checks. Only for values built by the
+    caller's own code in a form that already meets them; input from
+    outside the package always goes through the constructor."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        set_slot(obj, name, value)
+    return obj

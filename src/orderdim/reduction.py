@@ -21,7 +21,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .records import Record, set_slot
+from .records import Record, set_slot, trusted
 from .relations import (
     QuasiOrder,
     StrictOrder,
@@ -107,7 +107,8 @@ def pair_digraph(
             f"{MAX_PAIR_VERTICES}"
         )
     pairs, rows = _pair_out_rows(ends, q.rows)
-    return Digraph(len(pairs), tuple(rows)), PairVertexMap(tuple(pairs))
+    digraph = trusted(Digraph, len(pairs), tuple(rows))
+    return digraph, PairVertexMap(tuple(pairs))
 
 
 def _pair_out_rows(seconds, reach) -> tuple[list, list[int]]:
@@ -117,7 +118,10 @@ def _pair_out_rows(seconds, reach) -> tuple[list, list[int]]:
 
     The pairs with first coordinate x take one block of consecutive
     indices, so an out-row is the OR of the blocks of reach[y0]. It
-    depends only on y0 and is built once per distinct y0.
+    depends only on y0 and is built once per distinct y0. Each row lies
+    inside the pairs' range and holds its own pair (x0, y0) only when x0
+    is in reach[y0], which a pair vertex rules out (y0 is not below x0):
+    pair-vertex rows make a valid Digraph as they stand.
     """
     blocks = [0] * len(reach)
     firsts = start = 0
@@ -187,7 +191,7 @@ def _critical_pair_frame(q: QuasiOrder):
                 "vertex guard"
             )
     pairs, rows = _pair_out_rows(seconds, q.rows)
-    return Digraph(len(pairs), tuple(rows)), tuple(pairs), frame
+    return trusted(Digraph, len(pairs), tuple(rows)), tuple(pairs), frame
 
 
 def extension_pairs(
@@ -224,12 +228,13 @@ def extend_by_pairs(base: QuasiOrder, pairs) -> QuasiOrder:
     offending pairs form a pair-digraph cycle, raised as CycleInX.
     """
     pair_rows = _pair_rows(base, pairs)
+    # the closure of in-range reflexive rows is a quasi order as built
     rows = close_rows(
         [base.rows[i] | pair_rows[i] for i in range(base.n)], base.n
     )
     # a closure of the base merges classes iff it has fewer distinct rows
     if len(set(rows)) == len(set(base.rows)):
-        return QuasiOrder(base.n, tuple(rows))
+        return trusted(QuasiOrder, base.n, tuple(rows))
     raise _pair_cycle(base, pair_rows)
 
 
@@ -257,7 +262,12 @@ def _lift_pair_sets(base: QuasiOrder, frame, pair_sets):
 
 
 class AcyclicCover(Record):
-    """Vertex classes meant to cover a digraph, each without a cycle."""
+    """Vertex classes meant to cover a digraph, each without a cycle.
+
+    Public construction brings each class to its normal form, an
+    ascending tuple without repeats; check_cover judges the cover. The
+    package skips the normalizing only for covers it has just built in
+    that form (records.trusted)."""
 
     __slots__ = _fields = ("classes",)
 

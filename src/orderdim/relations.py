@@ -12,7 +12,7 @@ from .errors import (
     NotStrictOrder,
     SizeMismatch,
 )
-from .records import Record, set_slot
+from .records import Record, set_slot, trusted
 
 
 def close_rows(rows: list[int], n: int) -> list[int]:
@@ -232,7 +232,11 @@ def _least_intransitive(rows) -> tuple[int, int, int]:
 
 
 class QuasiOrder(Record):
-    """A reflexive transitive relation. Validated on construction."""
+    """A reflexive transitive relation.
+
+    Public construction validates the rows. The package skips that only
+    for orders it has just built in a form that is reflexive and
+    transitive by construction (records.trusted)."""
 
     __slots__ = _fields = ("n", "rows")
 
@@ -434,7 +438,8 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
         members = same[(ready & -ready).bit_length() - 1]
         order.append(members)
         remaining &= ~members
-    # a class lies below itself and every class peeled after it
+    # a class lies below itself and every class peeled after it: the
+    # rows are nested suffix masks, reflexive and transitive as built
     rows = [0] * q.n
     suffix = 0
     for members in reversed(order):
@@ -444,7 +449,7 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
                 rows[x] = suffix
         else:
             rows[members.bit_length() - 1] = suffix
-    return QuasiOrder(q.n, tuple(rows))
+    return trusted(QuasiOrder, q.n, tuple(rows))
 
 
 def linear_extension(q: QuasiOrder) -> QuasiOrder:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .digraphs import Digraph, _strong_components
 from .errors import LimitExceeded, NotAGraph
-from .records import Record, set_slot
+from .records import Record, set_slot, trusted
 from .reduction import (
     AcyclicCover,
     ExtensionFamily,
@@ -222,10 +222,14 @@ def dichromatic_number(
             k_total = k_c
         for j, mask in enumerate(masks):
             merged[j] |= mask
-    # lists, not tuples: tuple() of the bit walk of a mask of 24 or more
-    # vertices grows by reallocation, which raised the peak RSS of a
-    # dim-search run by half a megabyte
-    cover = AcyclicCover([list(bits_of(m)) for m in merged])
+    # the classes are ascending bit walks of disjoint masks, so already in
+    # AcyclicCover's normal form; each goes through a list, since tuple()
+    # of the bit walk of a mask of 24 or more vertices grows by
+    # reallocation, which raised the peak RSS of a dim-search run by half
+    # a megabyte
+    cover = trusted(
+        AcyclicCover, tuple([tuple(list(bits_of(m))) for m in merged])
+    )
     check_cover(d, cover)
     return DicrResult(k_total, cover)
 

@@ -515,6 +515,21 @@ def test_boolean_ids_are_usage_errors(capsys, tmp_path):
     assert err == f'error: {cover}: "classes" must be lists of ints\n'
 
 
+def test_non_transitive_order_payload_is_usage_error(capsys, tmp_path):
+    # "closure": false takes the pairs as they are, and 0 < 1 < 2 without
+    # 0 < 2 is not transitive: the reader must refuse it, not trust it
+    order = write(
+        tmp_path,
+        "loose.json",
+        {"kind": "quasi", "n": 3, "pairs": [[0, 1], [1, 2]], "closure": False},
+    )
+    cover = write(tmp_path, "cover.json", {"classes": [[0]]})
+    for argv in (("dim", order), ("convert", "cover-to-ext", order, cover)):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {order}: transitivity fails at (0, 1, 2)\n"
+
+
 def test_convert_cover_vertex_outside_pair_digraph_exits_2(capsys, tmp_path):
     chain = write(
         tmp_path,
