@@ -22,7 +22,7 @@ from orderdim import (
 
 def main() -> None:
     base = crown_order(2)
-    ap, apm = pair_digraph(base)
+    ap, _ = pair_digraph(base)
     print(f"pair digraph: {ap.n} vertices, {ap.edge_count()} edges")
 
     cover = dichromatic_number(ap).witness

@@ -11,7 +11,7 @@ Run: python demos/06_separators.py
 """
 
 from orderdim import (
-    Incomplete,
+    IncompleteFamily,
     boolean_order,
     crown_order,
     family_from_separators,
@@ -27,16 +27,18 @@ def main() -> None:
 
     for name, q in [("crown-3", crown_order(3)), ("boolean-3", boolean_order(3))]:
         fam = family_from_separators(q, prefix_separators(q.n))
-        assert not isinstance(fam, Incomplete)
         exact = order_dimension(q).d
         print(f"{name}: exact dimension {exact} <= separator bound {fam.size}")
         assert exact <= fam.size
 
     # A family that cannot tell two points apart is reported, not guessed.
     q = crown_order(2)
-    out = family_from_separators(q, (frozenset({0}),))
-    assert isinstance(out, Incomplete)
-    print("one singleton set on crown-2 is incomplete: undecided pair", out.pair)
+    try:
+        family_from_separators(q, (frozenset({0}),))
+    except IncompleteFamily as err:
+        print("one singleton set on crown-2 is incomplete: undecided pair", err.pair)
+    else:
+        raise AssertionError("a single singleton set cannot separate crown-2")
 
 
 if __name__ == "__main__":

@@ -38,11 +38,10 @@ _SUBMODULE = {
         ),
         (
             "reduction",
-            "AcyclicCover ExtensionFamily Incomplete PairVertexMap check_cover "
-            "cover_to_extensions critical_pair_digraph extend_by_pairs "
-            "extend_by_separator extension_pairs extensions_to_cover "
-            "family_from_separators pair_digraph prefix_separators "
-            "two_level_order undecided_pair",
+            "AcyclicCover ExtensionFamily check_cover cover_to_extensions "
+            "critical_pair_digraph extend_by_pairs extend_by_separator "
+            "extension_pairs extensions_to_cover family_from_separators "
+            "pair_digraph prefix_separators two_level_order undecided_pair",
         ),
         (
             "relations",

@@ -26,7 +26,7 @@ from .digraphs import (
     is_acyclic,
     verify_homomorphism,
 )
-from .errors import CycleInX, OrderdimError
+from .errors import CycleInX, IncompleteFamily, OrderdimError
 from .generate import (
     directed_cycle,
     enumerate_posets,
@@ -37,7 +37,6 @@ from .generate import (
     random_symmetric,
 )
 from .reduction import (
-    Incomplete,
     cover_to_extensions,
     extend_by_pairs,
     extensions_to_cover,
@@ -282,14 +281,14 @@ def run_cyclefree_extends(n, seed, budget):
             if idx % 3 == 0
             else random_order(size, p, rng.next_u64())
         )
-        ap, apm = pair_digraph(base)
+        ap, pairs = pair_digraph(base)
         if ap.n == 0:
             ids = []
         else:
             ids = [v for v in range(ap.n) if rng.chance(0.4)]
         if idx % 2 == 1:
             ids = _acyclic_subset(ap, ids)
-        offered = [list(apm.pairs[v]) for v in ids]
+        offered = [list(pairs[v]) for v in ids]
         instance = {
             "order": order_payload(base),
             "pairs": offered,
@@ -434,10 +433,11 @@ def _induced(d: Digraph, keep) -> Digraph:
 def run_separators(n, seed, budget):
     config = {"n": n, "exhaustive": True}
     for idx, base in _posets(n):
-        fam = family_from_separators(base, prefix_separators(base.n))
-        if isinstance(fam, Incomplete):
+        try:
+            fam = family_from_separators(base, prefix_separators(base.n))
+        except IncompleteFamily as err:
             # no family to check: the checker rejects this witness
-            witness = {"incomplete_pair": list(fam.pair)}
+            witness = {"incomplete_pair": list(err.pair)}
         else:
             witness = {
                 "family": family_payload(fam),

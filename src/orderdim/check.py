@@ -204,16 +204,16 @@ def check_graph_collapse(instance: dict, witness: dict) -> bool:
 
 def check_h1plus(instance: dict, witness: dict) -> bool:
     base = order_from_payload(instance["order"])
-    ap, apm = pair_digraph(base)
-    bp, bpm = pair_digraph(base, incomparable_only=True)
-    bp_ids = {apm.index(p) for p in bpm.pairs}
+    ap, a_pairs = pair_digraph(base)
+    bp, b_pairs = pair_digraph(base, incomparable_only=True)
+    index = {p: i for i, p in enumerate(a_pairs)}
+    bp_ids = {index[p] for p in b_pairs}
     comparable = [v for v in range(ap.n) if v not in bp_ids]
     if is_acyclic(ap, comparable) is not True:
         return False
     bcover = _cover_of(bp, witness["b_cover"], witness["k_incomparable"])
     lifted = [tuple(comparable)] + [
-        tuple(apm.index(bpm.pairs[v]) for v in cls)
-        for cls in bcover.classes
+        tuple(index[b_pairs[v]] for v in cls) for cls in bcover.classes
     ]
     check_cover(ap, AcyclicCover(tuple(lifted)))
     _cover_of(ap, witness["a_cover"], witness["k_pair_digraph"])
@@ -248,17 +248,18 @@ def check_cyclefree_extends(instance: dict, witness: dict) -> bool:
 def check_roundtrip(instance: dict, witness: dict) -> bool:
     base = order_from_payload(instance["order"])
     fam = family_from_payload(witness["family"], base)
-    ap, apm = pair_digraph(base)
+    ap, pairs = pair_digraph(base)
+    index = {p: i for i, p in enumerate(pairs)}
     cover = _cover_of(ap, witness["cover"], fam.size)
     back = _cover_of(ap, witness["back_cover"], fam.size)
     for cls, back_cls, ext in zip(cover.classes, back.classes, fam.exts):
         xs = extension_pairs(base, ext)
-        ids = {apm.index(p) for p in xs}
+        ids = {index[p] for p in xs}
         if not set(cls) <= ids or back_cls != tuple(sorted(ids)):
             return False
         if _closure_rows(base, xs) != ext.rows:
             return False
-        if _closure_rows(base, [apm.pairs[v] for v in cls]) != ext.rows:
+        if _closure_rows(base, [pairs[v] for v in cls]) != ext.rows:
             return False
     return True
 

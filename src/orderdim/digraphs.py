@@ -49,12 +49,6 @@ class Digraph(Record):
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def degree(self, i: int) -> int:
-        """Out-degree plus in-degree."""
-        return self.rows[i].bit_count() + sum(
-            (row >> i) & 1 for row in self.rows
-        )
-
     def is_symmetric(self) -> bool:
         cols = transpose_rows(self.rows, self.n)
         return all(r == c for r, c in zip(self.rows, cols))
@@ -358,7 +352,12 @@ def find_homomorphism(
     """
     if g.n == 0:
         return HomWitness((), minimal)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    # out-degree plus in-degree, the in-degrees read off one transpose
+    degree = [
+        row.bit_count() + col.bit_count()
+        for row, col in zip(g.rows, transpose_rows(g.rows, g.n))
+    ]
+    order = sorted(range(g.n), key=lambda v: (-degree[v], v))
     pos = {v: i for i, v in enumerate(order)}
     h_cols = transpose_rows(h.rows, h.n)
     # constraints checkable once a vertex is placed: (partner, lines,

@@ -34,33 +34,6 @@ from .relations import (
 )
 
 
-class PairVertexMap(Record):
-    """Pair digraph vertices in lexicographic order, with reverse lookup.
-
-    The lookup dict is built at the first index() call: most maps are
-    never asked."""
-
-    __slots__ = ("pairs", "_index")
-    _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        set_slot(self, "pairs", pairs)
-        set_slot(self, "_index", None)
-
-    def index(self, pair: tuple[int, int]) -> int:
-        lookup = self._index
-        if lookup is None:
-            lookup = {p: i for i, p in enumerate(self.pairs)}
-            set_slot(self, "_index", lookup)
-        try:
-            return lookup[tuple(pair)]
-        except KeyError:
-            raise IndexOutOfRange(f"{pair} is not a pair vertex") from None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 # the most vertices a pair digraph may have: its bit rows take up to a
 # vertex count squared bits, so a larger one is refused before it is built
 MAX_PAIR_VERTICES = 1 << 14
@@ -92,8 +65,9 @@ def _pair_vertices(ends, rows) -> tuple[int, ...]:
 
 def pair_digraph(
     q: QuasiOrder, incomparable_only: bool = False
-) -> tuple[Digraph, PairVertexMap]:
-    """Digraph on undominated pairs of q; optionally only incomparable ones.
+) -> tuple[Digraph, tuple[tuple[int, int], ...]]:
+    """Digraph on undominated pairs of q, optionally only incomparable ones,
+    and its vertices as pairs in lexicographic order.
 
     TooLarge, before any pair is listed, above MAX_PAIR_VERTICES vertices.
     """
@@ -107,8 +81,7 @@ def pair_digraph(
             f"{MAX_PAIR_VERTICES}"
         )
     pairs, rows = _pair_out_rows(ends, q.rows)
-    digraph = trusted(Digraph, len(pairs), tuple(rows))
-    return digraph, PairVertexMap(tuple(pairs))
+    return trusted(Digraph, len(pairs), tuple(rows)), tuple(pairs)
 
 
 def _pair_out_rows(seconds, reach) -> tuple[list, list[int]]:
@@ -339,21 +312,12 @@ class ExtensionFamily(Record):
         return len(self.exts)
 
 
-class Incomplete(Record):
-    """Separator family fell short; carries one undecided pair."""
-
-    __slots__ = _fields = ("pair",)
-
-    def __init__(self, pair: tuple[int, int]):
-        set_slot(self, "pair", pair)
-
-
 def cover_to_extensions(base: QuasiOrder, cover: AcyclicCover) -> ExtensionFamily:
     """One extension per cover class of the base's pair digraph."""
-    ap, pvm = pair_digraph(base)
+    ap, pairs = pair_digraph(base)
     check_cover(ap, cover)
     exts = tuple(
-        extend_by_pairs(base, [pvm.pairs[v] for v in cls])
+        extend_by_pairs(base, [pairs[v] for v in cls])
         for cls in cover.classes
     )
     return ExtensionFamily(base, exts)
@@ -429,8 +393,9 @@ def prefix_separators(n: int) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def family_from_separators(base: QuasiOrder, sets) -> ExtensionFamily | Incomplete:
-    """One separator-driven extension per set; Incomplete when they fall short."""
+def family_from_separators(base: QuasiOrder, sets) -> ExtensionFamily:
+    """One separator-driven extension per set; IncompleteFamily, naming an
+    undecided pair, when they fall short."""
     exts = []
     for b_set in sets:
         mask = 0
@@ -440,7 +405,4 @@ def family_from_separators(base: QuasiOrder, sets) -> ExtensionFamily | Incomple
             mask |= 1 << v
         rows = tuple(0 if (mask >> x) & 1 else mask for x in range(base.n))
         exts.append(extend_by_separator(base, StrictOrder(base.n, rows)))
-    try:
-        return ExtensionFamily(base, tuple(exts))
-    except IncompleteFamily as err:
-        return Incomplete(err.pair)
+    return ExtensionFamily(base, tuple(exts))

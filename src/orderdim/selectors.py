@@ -11,6 +11,7 @@ coordinate by one modulo its branching factor.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from .digraphs import Cycle, Digraph
 from .errors import TooLarge
@@ -60,12 +61,37 @@ def nth_sequence(l: int) -> tuple[int, ...]:
     return next(itertools.islice(sequence_stream(), l, None))
 
 
+def _fibonacci(n: int) -> int:
+    """F(n), with F(0) = 0 and F(1) = 1, by fast doubling."""
+    a, b = 0, 1  # F(m), F(m + 1) for m the bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
 def sequence_index(s) -> int:
-    target = tuple(s)
-    for i, cand in enumerate(sequence_stream()):
-        if cand == target:
-            return i
-    raise AssertionError("unreachable: the stream is exhaustive")
+    """Position of s in sequence_stream(), counted rather than scanned:
+    the lighter tuples, then the shorter tuples of the same weight, then
+    the rank of s among the compositions of its sum into len(s) parts."""
+    s = tuple(s)
+    k, rest = len(s), sum(s)
+    w = 2 * k + rest
+    # a tuple of weight w >= 2 is one of weight w - 1 with its last entry
+    # raised, or one of weight w - 2 with a 0 appended; so, from weights 0
+    # and 1, the counts per weight run 1, 0, 1, 1, 2, ... and those below
+    # w sum to the Fibonacci number F(w)
+    index = _fibonacci(w)
+    # j-tuples of weight w, 0 < j < k, are compositions of w - 2j > 0
+    index += sum(comb(w - j - 1, j - 1) for j in range(1, k))
+    for i, v in enumerate(s):
+        parts = k - 1 - i
+        # compositions agreeing with s before i, smaller at i: their tails
+        # sum to more than rest - v and at most rest
+        index += comb(rest + parts, parts) - comb(rest - v + parts, parts)
+        rest -= v
+    return index
 
 
 def in_level(sigma, s) -> bool:
@@ -178,47 +204,48 @@ def level_edge_count(sigma, k: int) -> int:
 class DensityReport(Record):
     """Which tree tuples the dense selector hits within a prefix depth.
 
-    witnessed pairs (s, l) passed the check s below the value at prefix
-    length l; unresolved ones have enumeration index beyond the depth, so
-    no conclusion is drawn; violations failed the check, so they stay
-    empty while dense_selector keeps its density.
+    witnessed pairs (s, l) have enumeration index l within the depth, so
+    the value at prefix length l extends s; unresolved ones have index
+    beyond the depth, so no conclusion is drawn.
     """
 
-    __slots__ = _fields = ("witnessed", "unresolved", "violations")
+    __slots__ = _fields = ("witnessed", "unresolved")
 
     def __init__(
         self,
         witnessed: tuple[tuple[tuple[int, ...], int], ...],
         unresolved: tuple[tuple[tuple[int, ...], int], ...],
-        violations: tuple[tuple[tuple[int, ...], int], ...],
     ):
         set_slot(self, "witnessed", witnessed)
         set_slot(self, "unresolved", unresolved)
-        set_slot(self, "violations", violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def density_report(f, depth: int) -> DensityReport:
+    """Every tuple of the tree under f[:depth], shorter ones first, split
+    by its enumeration index. TooLarge, before any tuple is listed, above
+    MAX_LEVEL_VERTICES tuples."""
     f = check_sigma(f)
     if depth < 0 or depth > len(f):
         raise ValueError(f"depth {depth} outside 0..{len(f)}")
     prefix = f[:depth]
-    witnessed, unresolved, violations = [], [], []
+    count = size = 1
+    for v in prefix:
+        size *= v
+        count += size
+        if count > MAX_LEVEL_VERTICES:
+            raise TooLarge(
+                f"over {MAX_LEVEL_VERTICES} tuples at depth {depth} exceed "
+                "the tree guard"
+            )
+    witnessed, unresolved = [], []
     for length in range(depth + 1):
         for s in itertools.product(*(range(v) for v in prefix[:length])):
             l = sequence_index(s)
             if l > depth:
                 unresolved.append((s, l))
-                continue
-            val = dense_selector(f[:l])
-            if val[: len(s)] == s:
-                witnessed.append((s, l))
             else:
-                violations.append((s, l))
-    return DensityReport(tuple(witnessed), tuple(unresolved), tuple(violations))
+                witnessed.append((s, l))
+    return DensityReport(tuple(witnessed), tuple(unresolved))
 
 
 def monotone_counterexample(f) -> tuple[int, int] | None:

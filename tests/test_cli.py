@@ -396,6 +396,34 @@ def test_pair_digraph_guard_exits_three_at_once(capsys, tmp_path):
         assert code == 3 and out == "" and "pair vertex guard" in err, argv
 
 
+def test_hom_budget_zero_exits_three_at_once(capsys, tmp_path):
+    # ordering the vertices of the largest empty digraph by degree must
+    # not cost a row scan per vertex before the budget is counted
+    g = write(tmp_path, "e.json", {"kind": "digraph", "n": 16384, "edges": []})
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "hom", "find", g, g, "--budget", "0")
+    assert time.perf_counter() - t0 < 5
+    assert code == 3 and out == "" and "budget exceeded" in err
+
+
+def test_density_is_counted_and_guarded(capsys):
+    # each tuple's enumeration index is counted, not scanned for, so a
+    # tree just under the guard answers at once and one over it exits 3
+    t0 = time.perf_counter()
+    code, out, _ = invoke(capsys, "g0", "density", "--sigma", "40,40")
+    assert time.perf_counter() - t0 < 5
+    doc = json.loads(out)
+    assert code == 0 and len(doc["witnessed"]) + len(doc["unresolved"]) == 1641
+    code, out, err = invoke(capsys, "g0", "density", "--sigma", "64,64")
+    assert code == 3 and out == "" and "tree guard" in err
+    code, out, _ = invoke(
+        capsys, "g0", "density", "--sigma", "64,64", "--depth", "1"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["witnessed"] == [[[], 0], [[0], 1]]
+    assert len(doc["unresolved"]) == 63
+
+
 def test_reduce_edge_guard_exits_three_at_once(capsys, tmp_path):
     # a chain of 80 has 3,160 pair vertices, under the vertex guard, and
     # 1,663,740 edges; an antichain of 128 has 2,064,512 between

@@ -76,10 +76,10 @@ def test_lift_of_any_pair_set_matches_closure_then_peel(n, p, seed):
     # random pair-digraph classes, cyclic ones included: the same
     # extension, or the same CycleInX witness
     q = classed_quasi(n, p, seed)
-    _, pvm = pair_digraph(q)
+    _, pairs = pair_digraph(q)
     rng = SplitMix64(seed)
     for density in (0.1, 0.3, 0.6):
-        offered = [pair for pair in pvm.pairs if rng.chance(density)]
+        offered = [pair for pair in pairs if rng.chance(density)]
         assert lift_or_cycle(lift_pairs, q, offered) == lift_or_cycle(
             loop_lift, q, offered
         )
@@ -91,10 +91,10 @@ def test_pair_sets_sharing_one_base_lift_like_separate_lifts(n, p, seed):
     # one peel's pairs must not leak into the next over the same base:
     # the sets are lifted in turn, and the first again at the end
     q = classed_quasi(n, p, seed)
-    _, pvm = pair_digraph(q)
+    _, pairs = pair_digraph(q)
     rng = SplitMix64(seed)
     sets = [
-        [pair for pair in pvm.pairs if rng.chance(density)]
+        [pair for pair in pairs if rng.chance(density)]
         for density in (0.05, 0.2, 0.4)
     ]
     sets.append(sets[0])
@@ -161,11 +161,11 @@ def test_extends_matches_two_transpose_version(n, p, seed):
 @settings(max_examples=150, deadline=None)
 def test_undecided_pair_matches_loop_version_on_several_members(n, p, seed):
     base = classed_quasi(n, p, seed)
-    _, pvm = pair_digraph(base, incomparable_only=True)
+    _, pairs = pair_digraph(base, incomparable_only=True)
     # linear and non-linear members, in families of two to five
     members = list(order_dimension(base).witness.exts)
-    members += [extend_by_pairs(base, [pair]) for pair in pvm.pairs[:4]]
-    members += [lift_pairs(base, [pair]) for pair in pvm.pairs[-4:]]
+    members += [extend_by_pairs(base, [pair]) for pair in pairs[:4]]
+    members += [lift_pairs(base, [pair]) for pair in pairs[-4:]]
     rng = SplitMix64(seed)
     for _ in range(6):
         fam = [members[rng.below(len(members))] for _ in range(2 + rng.below(4))]

@@ -20,14 +20,12 @@ from orderdim import (
     ExtensionFamily,
     HomCheck,
     HomWitness,
-    Incomplete,
     IncompleteFamily,
     IndexOutOfRange,
     NotADigraph,
     NotExtension,
     NotQuasiOrder,
     NotStrictOrder,
-    PairVertexMap,
     QuasiOrder,
     QuotientPoset,
     SizeMismatch,
@@ -83,11 +81,6 @@ RECORDS = {
         ("ok", "reason", "pair", "cycle"),
         "HomCheck(ok=False, reason='x', pair=(0, 1), cycle=(0, 1, 2))",
     ),
-    "PairVertexMap": (
-        lambda: PairVertexMap(((0, 1), (1, 0))),
-        ("pairs",),
-        "PairVertexMap(pairs=((0, 1), (1, 0)))",
-    ),
     "AcyclicCover": (
         lambda: AcyclicCover(((2, 1, 1), (0,))),
         ("classes",),
@@ -99,11 +92,6 @@ RECORDS = {
         "ExtensionFamily(base=QuasiOrder(n=2, rows=(1, 2)), "
         "exts=(QuasiOrder(n=2, rows=(3, 2)), QuasiOrder(n=2, rows=(1, 3))))",
     ),
-    "Incomplete": (
-        lambda: Incomplete((0, 1)),
-        ("pair",),
-        "Incomplete(pair=(0, 1))",
-    ),
     "SelectorDigraph": (
         lambda: selector_digraph((2,)),
         ("sigma", "verts", "graph"),
@@ -112,9 +100,9 @@ RECORDS = {
     ),
     "DensityReport": (
         lambda: density_report((2, 2), 1),
-        ("witnessed", "unresolved", "violations"),
+        ("witnessed", "unresolved"),
         "DensityReport(witnessed=(((), 0), ((0,), 1)), "
-        "unresolved=(((1,), 2),), violations=())",
+        "unresolved=(((1,), 2),))",
     ),
     "DicrResult": (
         lambda: DicrResult(1, AcyclicCover(((0,),))),
@@ -200,7 +188,6 @@ def test_same_fields_in_different_classes_are_not_equal():
     assert StrictOrder(2, (2, 0)) != Digraph(2, (2, 0))
     cover = AcyclicCover(((0,),))
     assert DicrResult(1, cover) != DimResult(1, cover)
-    assert Incomplete((0, 1)) != Cycle((0, 1))
 
 
 def test_each_compared_field_counts():
@@ -225,39 +212,6 @@ def test_defaults():
     b = Certificate(claim="c", index=0, instance={}, witness={}, verified=True)
     assert a == b and a.seed is None and a.config == {}
     assert a.config is not b.config
-
-
-def test_pair_vertex_map_index_stays_out_of_the_contract():
-    pvm = PairVertexMap(((0, 1), (1, 0)))
-    assert pvm.index((1, 0)) == 1 and pvm.index([0, 1]) == 0 and len(pvm) == 2
-    with pytest.raises(IndexOutOfRange):
-        pvm.index((0, 0))
-    assert "_index" not in repr(pvm)
-    assert hash(pvm) == hash((((0, 1), (1, 0)),))
-    assert pickle.loads(pickle.dumps(pvm)).index((1, 0)) == 1
-
-
-def test_pair_vertex_map_is_the_same_before_and_after_a_lookup():
-    pairs = ((0, 1), (0, 2), (2, 1))
-    fresh, used = PairVertexMap(pairs), PairVertexMap(pairs)
-    assert used.index((2, 1)) == 2
-    for pvm in (fresh, PairVertexMap(pairs)):
-        assert pvm == used and used == pvm and hash(pvm) == hash(used)
-        assert repr(pvm) == repr(used) == f"PairVertexMap(pairs={pairs})"
-        assert pickle.dumps(pvm) == pickle.dumps(used)
-        assert pickle.loads(pickle.dumps(used)) == pvm
-    for pvm in (fresh, used):
-        for bad, message in (
-            ((1, 0), r"^\(1, 0\) is not a pair vertex$"),
-            ([0, 0], r"^\[0, 0\] is not a pair vertex$"),
-        ):
-            with pytest.raises(IndexOutOfRange, match=message):
-                pvm.index(bad)
-        with pytest.raises(TypeError):
-            pvm.index([[0], 1])
-    assert [fresh.index(p) for p in pairs] == [0, 1, 2]
-    with pytest.raises(AttributeError):
-        fresh.pairs = ()
 
 
 def test_normalisations():

@@ -24,7 +24,7 @@ from orderdim import (
     selector_digraph,
     sequence_index,
 )
-from orderdim.selectors import weight
+from orderdim.selectors import MAX_LEVEL_VERTICES, sequence_stream, weight
 
 FIRST_SEQUENCES = [
     (),
@@ -49,7 +49,8 @@ def test_enumeration_prefix_table():
 
 
 def test_enumeration_round_trips_with_index():
-    for l, s in enumerate(FIRST_SEQUENCES):
+    # the counted index against the stream itself, well past the table
+    for l, s in enumerate(itertools.islice(sequence_stream(), 5000)):
         assert sequence_index(s) == l
 
 
@@ -184,14 +185,52 @@ def test_density_report_fixtures():
     witnessed = {s: l for s, l in rep.witnessed}
     assert witnessed[(0,)] == 1
     assert witnessed[(1,)] == 2
-    assert rep.ok
     rep1 = density_report((2,), 1)
     assert {s for s, _ in rep1.witnessed} == {(), (0,)}
     assert {s for s, _ in rep1.unresolved} == {(1,)}
     rep0 = density_report((2, 2), 0)
-    assert rep0.ok and {s for s, _ in rep0.witnessed} == {()}
+    assert {s for s, _ in rep0.witnessed} == {()}
     with pytest.raises(ValueError):
         density_report((2,), 5)
+
+
+def test_dense_selector_extends_every_witnessed_tuple():
+    reports = 0
+    for k in range(4):
+        for sigma in itertools.product(range(2, 6), repeat=k):
+            for depth in range(k + 1):
+                rep = density_report(sigma, depth)
+                reports += 1
+                tree = [
+                    s
+                    for length in range(depth + 1)
+                    for s in itertools.product(*map(range, sigma[:length]))
+                ]
+                pairs = rep.witnessed + rep.unresolved
+                assert sorted(s for s, _ in pairs) == sorted(tree)
+                for s, l in rep.witnessed:
+                    assert l <= depth
+                    assert dense_selector(sigma[:l])[: len(s)] == s
+                assert all(l > depth for _, l in rep.unresolved)
+    assert reports == 313
+
+
+def test_density_guard_fires_before_any_tuple_is_listed(monkeypatch):
+    asked = []
+
+    def index(s):
+        asked.append(s)
+        return sequence_index(s)
+
+    monkeypatch.setattr(orderdim.selectors, "sequence_index", index)
+    # a tree of depth 1 under (v,) has 1 + v tuples
+    with pytest.raises(TooLarge):
+        density_report((MAX_LEVEL_VERTICES,), 1)
+    with pytest.raises(TooLarge):
+        density_report((64, 64), 2)
+    assert asked == []
+    rep = density_report((MAX_LEVEL_VERTICES - 1,), 1)
+    assert len(rep.witnessed) + len(rep.unresolved) == MAX_LEVEL_VERTICES
 
 
 def test_monotone_outcomes():

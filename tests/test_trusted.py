@@ -104,10 +104,10 @@ def test_peeled_and_extended_orders_equal_validated_ones():
         assert_valid_order(linear_extension(q))
         for e in order_dimension(q).witness.exts:
             assert_valid_order(e)
-        _, pvm = pair_digraph(q)
-        rng = SplitMix64(q.n * 1000 + len(pvm))
+        _, vertices = pair_digraph(q)
+        rng = SplitMix64(q.n * 1000 + len(vertices))
         for _ in range(4):
-            pairs = [p for p in pvm.pairs if rng.chance(0.3)]
+            pairs = [p for p in vertices if rng.chance(0.3)]
             try:
                 e = extend_by_pairs(q, pairs)
             except CycleInX:
