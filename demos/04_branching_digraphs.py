@@ -25,25 +25,25 @@ def main() -> None:
     print("  ", [nth_sequence(l) for l in range(8)])
 
     for sigma in [(2,), (3,), (2, 2), (2, 3)]:
-        kd = selector_digraph(sigma)
+        g, _ = selector_digraph(sigma)
         cycles = canonical_cycles(sigma)
         per_level = [level_edge_count(sigma, k) for k in range(len(sigma))]
         print(
             f"sigma={sigma}: selector {dense_selector(sigma)}, "
-            f"{kd.graph.n} vertices, edges/level {per_level}, "
+            f"{g.n} vertices, edges/level {per_level}, "
             f"{len(cycles)} canonical cycles, "
-            f"needs {dichromatic_number(kd.graph).k} acyclic classes"
+            f"needs {dichromatic_number(g).k} acyclic classes"
         )
 
     # The selector is dense: within the checked depth every tree node is
     # an initial segment of the value it selects at some level.
     sigma = (2, 2)
-    rep = density_report(sigma, 2)
+    witnessed, unresolved = density_report(sigma, 2)
     print(
-        f"density at depth 2 over {sigma}: {len(rep.witnessed)} witnessed, "
-        f"{len(rep.unresolved)} unresolved"
+        f"density at depth 2 over {sigma}: {len(witnessed)} witnessed, "
+        f"{len(unresolved)} unresolved"
     )
-    for s, l in rep.witnessed:
+    for s, l in witnessed:
         assert dense_selector(sigma[:l])[: len(s)] == s
 
     # Monotonicity of branching factors along selected prefixes depends

@@ -51,9 +51,9 @@ _SUBMODULE = {
         ("rng", "SplitMix64"),
         (
             "selectors",
-            "DensityReport SelectorDigraph canonical_cycles dense_selector "
-            "density_report level_edge_count monotone_counterexample "
-            "nth_sequence prefix_monotone selector_digraph sequence_index",
+            "canonical_cycles dense_selector density_report level_edge_count "
+            "monotone_counterexample nth_sequence prefix_monotone "
+            "selector_digraph sequence_index",
         ),
         (
             "solvers",

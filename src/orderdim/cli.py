@@ -12,7 +12,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .digraphs import find_homomorphism, verify_homomorphism
+from .digraphs import HomWitness, find_homomorphism, verify_homomorphism
 from .errors import (
     IndexOutOfRange,
     LimitExceeded,
@@ -266,21 +266,21 @@ def _cmd_g0(args, out) -> int:
         )
         return 0
     if args.what == "k":
-        kd = selector_digraph(sigma)
+        g, verts = selector_digraph(sigma)
         cycles = canonical_cycles(sigma)
         _emit(
             args,
             out,
             {
                 "sigma": list(sigma),
-                "digraph": digraph_payload(kd.graph),
-                "verts": [list(t) for t in kd.verts],
+                "digraph": digraph_payload(g),
+                "verts": [list(t) for t in verts],
                 "level_edges": [
                     level_edge_count(sigma, k) for k in range(len(sigma))
                 ],
                 "canonical_cycles": [list(c.verts) for c in cycles],
             },
-            f"vertices={kd.graph.n} edges={kd.graph.edge_count()} "
+            f"vertices={g.n} edges={g.edge_count()} "
             f"canonical_cycles={len(cycles)}",
         )
         return 0
@@ -288,21 +288,21 @@ def _cmd_g0(args, out) -> int:
         depth = len(sigma) if args.depth is None else args.depth
         if depth < 0 or depth > len(sigma):
             raise UsageError(f"--depth must lie in 0..{len(sigma)}")
-        rep = density_report(sigma, depth)
+        witnessed, unresolved = density_report(sigma, depth)
         _emit(
             args,
             out,
             {
                 "sigma": list(sigma),
                 "depth": depth,
-                "witnessed": [[list(s), l] for s, l in rep.witnessed],
-                "unresolved": [[list(s), l] for s, l in rep.unresolved],
+                "witnessed": [[list(s), l] for s, l in witnessed],
+                "unresolved": [[list(s), l] for s, l in unresolved],
                 # the value at each witnessed index extends its tuple by
                 # construction, so no tuple can fail the check
                 "violations": [],
                 "ok": True,
             },
-            f"witnessed={len(rep.witnessed)} unresolved={len(rep.unresolved)} "
+            f"witnessed={len(witnessed)} unresolved={len(unresolved)} "
             "violations=0",
         )
         return 0
@@ -345,6 +345,8 @@ def _cmd_hom(args, out) -> int:
     if args.witness is None:
         raise UsageError("hom check needs a witness file")
     w = _load(args.witness, homwitness_from_payload)
+    # --minimal asks for the cycle rule even when the witness does not
+    w = HomWitness(w.mapping, w.minimal or args.minimal)
     res = verify_homomorphism(g, h, w, budget=_resolve_budget(args))
     payload = {
         "ok": res.ok,

@@ -15,9 +15,11 @@ from math import comb
 
 from .digraphs import Cycle, Digraph
 from .errors import TooLarge
-from .records import Record, set_slot
 
 MAX_LEVEL_VERTICES = 4096
+# g0 monotone compares the selected prefixes of every pair of lengths, at
+# a cost that grows about cubically with the length of sigma
+MAX_MONOTONE_LENGTH = 512
 
 
 def check_sigma(sigma) -> tuple[int, ...]:
@@ -26,10 +28,6 @@ def check_sigma(sigma) -> tuple[int, ...]:
         if v < 2:
             raise ValueError(f"branching factor {v} below 2")
     return out
-
-
-def weight(s) -> int:
-    return 2 * len(s) + sum(s)
 
 
 def _compositions(total: int, parts: int):
@@ -117,26 +115,6 @@ def dense_selector(sigma) -> tuple[int, ...]:
     return s + (0,) * (l - len(s))
 
 
-class SelectorDigraph(Record):
-    __slots__ = _fields = ("sigma", "verts", "graph")
-
-    def __init__(
-        self,
-        sigma: tuple[int, ...],
-        verts: tuple[tuple[int, ...], ...],
-        graph: Digraph,
-    ):
-        set_slot(self, "sigma", sigma)
-        set_slot(self, "verts", verts)
-        set_slot(self, "graph", graph)
-
-    def vertex_id(self, t) -> int:
-        vid = 0
-        for k, v in enumerate(t):
-            vid = vid * self.sigma[k] + v
-        return vid
-
-
 def _strides(sigma: tuple[int, ...]) -> list[int]:
     strides = [1] * len(sigma)
     for k in range(len(sigma) - 2, -1, -1):
@@ -170,8 +148,9 @@ def _orbits(sigma):
             yield tuple(off + i * strides[k] for i in range(sigma[k]))
 
 
-def selector_digraph(sigma) -> SelectorDigraph:
-    """The increment digraph on the full tree level under sigma."""
+def selector_digraph(sigma) -> tuple[Digraph, tuple[tuple[int, ...], ...]]:
+    """The increment digraph on the full tree level under sigma, with the
+    level's tuples in vertex id order (mixed radix, last slot fastest)."""
     # drain the orbits first: the size guard fires before any allocation
     orbits = list(_orbits(sigma))
     sigma = check_sigma(sigma)
@@ -180,7 +159,7 @@ def selector_digraph(sigma) -> SelectorDigraph:
     for orbit in orbits:
         for s_id, t_id in zip(orbit, orbit[1:] + orbit[:1]):
             rows[s_id] |= 1 << t_id
-    return SelectorDigraph(sigma, verts, Digraph(len(verts), tuple(rows)))
+    return Digraph(len(verts), tuple(rows)), verts
 
 
 def canonical_cycles(sigma) -> tuple[Cycle, ...]:
@@ -201,29 +180,16 @@ def level_edge_count(sigma, k: int) -> int:
     return count
 
 
-class DensityReport(Record):
+def density_report(f, depth: int) -> tuple[tuple, tuple]:
     """Which tree tuples the dense selector hits within a prefix depth.
 
-    witnessed pairs (s, l) have enumeration index l within the depth, so
-    the value at prefix length l extends s; unresolved ones have index
-    beyond the depth, so no conclusion is drawn.
+    Every tuple of the tree under f[:depth], shorter ones first, as a pair
+    (s, l) with l its enumeration index, split into (witnessed,
+    unresolved). A witnessed tuple has l within the depth, so the value at
+    prefix length l extends s; an unresolved one has l beyond the depth,
+    so no conclusion is drawn. TooLarge, before any tuple is listed, above
+    MAX_LEVEL_VERTICES tuples.
     """
-
-    __slots__ = _fields = ("witnessed", "unresolved")
-
-    def __init__(
-        self,
-        witnessed: tuple[tuple[tuple[int, ...], int], ...],
-        unresolved: tuple[tuple[tuple[int, ...], int], ...],
-    ):
-        set_slot(self, "witnessed", witnessed)
-        set_slot(self, "unresolved", unresolved)
-
-
-def density_report(f, depth: int) -> DensityReport:
-    """Every tuple of the tree under f[:depth], shorter ones first, split
-    by its enumeration index. TooLarge, before any tuple is listed, above
-    MAX_LEVEL_VERTICES tuples."""
     f = check_sigma(f)
     if depth < 0 or depth > len(f):
         raise ValueError(f"depth {depth} outside 0..{len(f)}")
@@ -245,7 +211,7 @@ def density_report(f, depth: int) -> DensityReport:
                 unresolved.append((s, l))
             else:
                 witnessed.append((s, l))
-    return DensityReport(tuple(witnessed), tuple(unresolved))
+    return tuple(witnessed), tuple(unresolved)
 
 
 def monotone_counterexample(f) -> tuple[int, int] | None:
@@ -255,8 +221,15 @@ def monotone_counterexample(f) -> tuple[int, int] | None:
     value at length n, the branching factor at position m must not exceed
     the one at n. Quantified over prefix lengths with defined factors,
     scanned in (m, n) order; None when no pair breaks the rule.
+    TooLarge, before any selector is computed, when f is longer than
+    MAX_MONOTONE_LENGTH.
     """
     f = check_sigma(f)
+    if len(f) > MAX_MONOTONE_LENGTH:
+        raise TooLarge(
+            f"length {len(f)} exceeds the monotone guard of "
+            f"{MAX_MONOTONE_LENGTH}"
+        )
     vals = [dense_selector(f[:m]) for m in range(len(f))]
     for m in range(len(f)):
         for n in range(m, len(f)):

@@ -5,15 +5,23 @@ from __future__ import annotations
 import ast
 import copy
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import orderdim.check
-from orderdim import OrderdimError, antichain_order
+from orderdim import (
+    HomWitness,
+    OrderdimError,
+    TooLarge,
+    antichain_order,
+    directed_cycle,
+    verify_homomorphism,
+)
 from orderdim.campaigns import CAMPAIGNS, run_campaign
 from orderdim.check import CHECKERS, recheck_certificate
-from orderdim.serialize import dumps, order_payload
+from orderdim.serialize import digraph_payload, dumps, order_payload
 
 SMALL = {
     "odim-eq-dicr": {"n": 3},
@@ -305,6 +313,27 @@ def test_checker_recomputes_the_separator_dimension():
     assert recheck_certificate(payload) is True
     forged = corrupt(payload, {("witness", "d"): 0})
     assert recheck_certificate(forged) is False
+
+
+def test_wrap_pair_checker_refuses_a_scan_past_its_guard():
+    # C10 -> C5 is a valid wrap certificate, but rechecking it would try
+    # all 5**10 maps; the guard rejects it before the scan
+    g, h = directed_cycle(10), directed_cycle(5)
+    wrap = tuple(i % 5 for i in range(10))
+    pair = verify_homomorphism(g, h, HomWitness(wrap, True)).pair
+    instance = {"g": digraph_payload(g), "h": digraph_payload(h)}
+    witness = {
+        "map": list(wrap),
+        "minimal_exists": False,
+        "violating_pair": list(pair),
+    }
+    assert 5**10 > orderdim.check.MAX_WRAP_MAPS
+    with pytest.raises(TooLarge):
+        CHECKERS["wrap_pair"](instance, witness)
+    t0 = time.perf_counter()
+    payload = {"claim": "wrap_pair", "instance": instance, "witness": witness}
+    assert recheck_certificate(payload) is False
+    assert time.perf_counter() - t0 < 1
 
 
 def test_cyclefree_checker_rejects_offered_pairs_out_of_range():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import orderdim
 from orderdim.campaigns import CAMPAIGNS
+from orderdim.selectors import MAX_MONOTONE_LENGTH
 from orderdim.cli import (
     SUBCOMMANDS,
     _fast_parse,
@@ -106,6 +107,16 @@ def test_monotone_violation_exits_one(capsys):
     assert json.loads(out)["counterexample"] == [0, 1]
     code, _, _ = invoke(capsys, "g0", "monotone", "--sigma", "2,3")
     assert code == 0
+
+
+def test_monotone_length_guard_exits_three(capsys):
+    at = ",".join(["2"] * MAX_MONOTONE_LENGTH)
+    code, out, _ = invoke(capsys, "g0", "monotone", "--sigma", at)
+    assert code == 0 and json.loads(out)["monotone"] is True
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, "g0", "monotone", "--sigma", at + ",2")
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and out == "" and "monotone guard" in err
 
 
 def test_density_depth_guard(capsys):
@@ -480,6 +491,30 @@ def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     assert doc["ok"] is False and doc["pair"] is not None
     code, out, _ = invoke(capsys, "hom", "find", c6, c3, "--minimal")
     assert code == 1 and json.loads(out)["found"] is False
+
+
+def test_hom_check_minimal_flag_asks_for_the_cycle_rule(capsys, tmp_path, c3):
+    c6 = write(
+        tmp_path,
+        "c6.json",
+        {
+            "kind": "digraph",
+            "n": 6,
+            "edges": [[i, (i + 1) % 6] for i in range(6)],
+        },
+    )
+    # the plain wrap that hom find prints, with "minimal": false
+    code, out, _ = invoke(capsys, "hom", "find", c6, c3)
+    assert code == 0 and json.loads(out)["minimal"] is False
+    witness = str(tmp_path / "w.json")
+    Path(witness).write_text(out)
+    code, out, _ = invoke(capsys, "hom", "check", c6, c3, witness)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = invoke(capsys, "hom", "check", "--minimal", c6, c3, witness)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["reason"] == "cycle non-edge mapped to an edge"
 
 
 def test_reduce_and_convert_pipeline(capsys, tmp_path):

@@ -31,9 +31,7 @@ from orderdim import (
     SizeMismatch,
     StrictOrder,
     antichain_order,
-    density_report,
     quotient,
-    selector_digraph,
 )
 from orderdim.campaigns import Certificate
 
@@ -91,18 +89,6 @@ RECORDS = {
         ("base", "exts"),
         "ExtensionFamily(base=QuasiOrder(n=2, rows=(1, 2)), "
         "exts=(QuasiOrder(n=2, rows=(3, 2)), QuasiOrder(n=2, rows=(1, 3))))",
-    ),
-    "SelectorDigraph": (
-        lambda: selector_digraph((2,)),
-        ("sigma", "verts", "graph"),
-        "SelectorDigraph(sigma=(2,), verts=((0,), (1,)), "
-        "graph=Digraph(n=2, rows=(2, 1)))",
-    ),
-    "DensityReport": (
-        lambda: density_report((2, 2), 1),
-        ("witnessed", "unresolved"),
-        "DensityReport(witnessed=(((), 0), ((0,), 1)), "
-        "unresolved=(((1,), 2),))",
     ),
     "DicrResult": (
         lambda: DicrResult(1, AcyclicCover(((0,),))),

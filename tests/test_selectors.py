@@ -24,7 +24,11 @@ from orderdim import (
     selector_digraph,
     sequence_index,
 )
-from orderdim.selectors import MAX_LEVEL_VERTICES, sequence_stream, weight
+from orderdim.selectors import (
+    MAX_LEVEL_VERTICES,
+    MAX_MONOTONE_LENGTH,
+    sequence_stream,
+)
 
 FIRST_SEQUENCES = [
     (),
@@ -58,6 +62,10 @@ def test_enumeration_round_trips_with_index():
 @settings(max_examples=60, deadline=None)
 def test_enumeration_is_weight_then_shortlex_ordered(l):
     a, b = nth_sequence(l), nth_sequence(l + 1)
+
+    def weight(s):
+        return 2 * len(s) + sum(s)
+
     assert (weight(a), len(a), a) < (weight(b), len(b), b)
     assert len(a) <= l
 
@@ -84,17 +92,17 @@ def test_selector_rejects_invalid_sigma():
 
 
 def test_k_digraph_small_fixtures():
-    two = selector_digraph((2,))
-    assert two.graph.n == 2
-    assert two.graph.adj(0, 1) and two.graph.adj(1, 0)
+    two, _ = selector_digraph((2,))
+    assert two.n == 2
+    assert two.adj(0, 1) and two.adj(1, 0)
 
-    three = selector_digraph((3,))
-    assert three.graph.n == 3
-    assert list(three.graph.edges()) == [(0, 1), (1, 2), (2, 0)]
+    three, _ = selector_digraph((3,))
+    assert three.n == 3
+    assert list(three.edges()) == [(0, 1), (1, 2), (2, 0)]
 
-    grid = selector_digraph((2, 2))
-    assert grid.verts == ((0, 0), (0, 1), (1, 0), (1, 1))
-    vid = grid.vertex_id
+    grid, verts = selector_digraph((2, 2))
+    assert verts == ((0, 0), (0, 1), (1, 0), (1, 1))
+    vid = verts.index
     expected = {
         # level 0: increment the first slot, one orbit per tail
         (vid((0, 0)), vid((1, 0))),
@@ -105,14 +113,14 @@ def test_k_digraph_small_fixtures():
         (vid((0, 0)), vid((0, 1))),
         (vid((0, 1)), vid((0, 0))),
     }
-    assert set(grid.graph.edges()) == expected
+    assert set(grid.edges()) == expected
 
 
 def test_level_edge_counts_match_direct_enumeration():
     for sigma in [(2,), (3,), (2, 2), (2, 3), (3, 2), (4, 2, 3)]:
-        kd = selector_digraph(sigma)
+        g, _ = selector_digraph(sigma)
         per = [level_edge_count(sigma, k) for k in range(len(sigma))]
-        assert kd.graph.edge_count() == sum(per)
+        assert g.edge_count() == sum(per)
         for k in range(len(sigma)):
             tail = 1
             for v in sigma[k + 1:]:
@@ -125,24 +133,24 @@ def test_canonical_cycle_counts_and_minimality():
     assert len(canonical_cycles((2, 2))) == 3
     assert len(canonical_cycles((2, 3))) == 4
     for sigma in [(2, 2), (2, 3), (3, 2), (2, 2, 2)]:
-        kd = selector_digraph(sigma)
+        g, _ = selector_digraph(sigma)
         for c in canonical_cycles(sigma):
-            assert is_minimal_cycle(kd.graph, c.verts)
+            assert is_minimal_cycle(g, c.verts)
             assert c.length == sigma[_cycle_level(sigma, c)] - 1
 
 
 def _cycle_level(sigma, cycle):
     first, second = cycle.verts[0], cycle.verts[1]
-    kd = selector_digraph(sigma)
-    a, b = kd.verts[first], kd.verts[second]
+    _, verts = selector_digraph(sigma)
+    a, b = verts[first], verts[second]
     return next(k for k in range(len(sigma)) if a[k] != b[k])
 
 
 def test_symmetry_facts():
-    assert selector_digraph((2, 2, 2)).graph.is_symmetric()
-    kd = selector_digraph((3, 4))
-    for u, v in kd.graph.edges():
-        assert not kd.graph.adj(v, u)
+    assert selector_digraph((2, 2, 2))[0].is_symmetric()
+    g, _ = selector_digraph((3, 4))
+    for u, v in g.edges():
+        assert not g.adj(v, u)
 
 
 def test_branch_guard(monkeypatch):
@@ -164,16 +172,16 @@ def test_branch_guard(monkeypatch):
 
 def test_dicr_of_branching_digraph_is_at_least_two():
     for sigma in [(2,), (3,), (2, 2), (4, 3)]:
-        assert dichromatic_number(selector_digraph(sigma).graph).k >= 2
+        assert dichromatic_number(selector_digraph(sigma)[0]).k >= 2
 
 
 def test_noncanonical_minimal_cycles_are_reported_not_asserted():
     # Whether every minimal cycle is canonical is left open; this records
     # the observed counts for two small branching digraphs.
     for sigma in [(2, 2), (2, 3)]:
-        kd = selector_digraph(sigma)
+        g, _ = selector_digraph(sigma)
         canon = {c.verts for c in canonical_cycles(sigma)}
-        minimal = {c.verts for c in minimal_cycles(kd.graph)}
+        minimal = {c.verts for c in minimal_cycles(g)}
         assert canon <= minimal
         extra = minimal - canon
         # informational; no assertion on emptiness by design
@@ -181,15 +189,14 @@ def test_noncanonical_minimal_cycles_are_reported_not_asserted():
 
 
 def test_density_report_fixtures():
-    rep = density_report((2, 2), 2)
-    witnessed = {s: l for s, l in rep.witnessed}
+    witnessed = dict(density_report((2, 2), 2)[0])
     assert witnessed[(0,)] == 1
     assert witnessed[(1,)] == 2
-    rep1 = density_report((2,), 1)
-    assert {s for s, _ in rep1.witnessed} == {(), (0,)}
-    assert {s for s, _ in rep1.unresolved} == {(1,)}
-    rep0 = density_report((2, 2), 0)
-    assert {s for s, _ in rep0.witnessed} == {()}
+    witnessed1, unresolved1 = density_report((2,), 1)
+    assert {s for s, _ in witnessed1} == {(), (0,)}
+    assert {s for s, _ in unresolved1} == {(1,)}
+    witnessed0, _ = density_report((2, 2), 0)
+    assert {s for s, _ in witnessed0} == {()}
     with pytest.raises(ValueError):
         density_report((2,), 5)
 
@@ -199,19 +206,19 @@ def test_dense_selector_extends_every_witnessed_tuple():
     for k in range(4):
         for sigma in itertools.product(range(2, 6), repeat=k):
             for depth in range(k + 1):
-                rep = density_report(sigma, depth)
+                witnessed, unresolved = density_report(sigma, depth)
                 reports += 1
                 tree = [
                     s
                     for length in range(depth + 1)
                     for s in itertools.product(*map(range, sigma[:length]))
                 ]
-                pairs = rep.witnessed + rep.unresolved
+                pairs = witnessed + unresolved
                 assert sorted(s for s, _ in pairs) == sorted(tree)
-                for s, l in rep.witnessed:
+                for s, l in witnessed:
                     assert l <= depth
                     assert dense_selector(sigma[:l])[: len(s)] == s
-                assert all(l > depth for _, l in rep.unresolved)
+                assert all(l > depth for _, l in unresolved)
     assert reports == 313
 
 
@@ -229,8 +236,8 @@ def test_density_guard_fires_before_any_tuple_is_listed(monkeypatch):
     with pytest.raises(TooLarge):
         density_report((64, 64), 2)
     assert asked == []
-    rep = density_report((MAX_LEVEL_VERTICES - 1,), 1)
-    assert len(rep.witnessed) + len(rep.unresolved) == MAX_LEVEL_VERTICES
+    witnessed, unresolved = density_report((MAX_LEVEL_VERTICES - 1,), 1)
+    assert len(witnessed) + len(unresolved) == MAX_LEVEL_VERTICES
 
 
 def test_monotone_outcomes():
@@ -241,3 +248,20 @@ def test_monotone_outcomes():
     assert monotone_counterexample((2, 3)) is None
     assert monotone_counterexample((3, 2)) == (0, 1)
     assert monotone_counterexample((4, 2, 3)) == (0, 1)
+
+
+def test_monotone_guard_fires_before_any_selector(monkeypatch):
+    asked = []
+
+    def sel(sigma):
+        asked.append(sigma)
+        return dense_selector(sigma)
+
+    monkeypatch.setattr(orderdim.selectors, "dense_selector", sel)
+    with pytest.raises(TooLarge):
+        monotone_counterexample((2,) * (MAX_MONOTONE_LENGTH + 1))
+    with pytest.raises(TooLarge):
+        prefix_monotone((2,) * (MAX_MONOTONE_LENGTH + 1))
+    assert asked == []
+    assert monotone_counterexample((2,) * 16) is None
+    assert len(asked) == 16
