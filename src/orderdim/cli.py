@@ -694,7 +694,10 @@ def run(argv) -> int:
     except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GUARD_ERRORS as exc:
+    except TooLarge as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return 3
+    except LimitExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except OrderdimError as exc:

@@ -252,17 +252,34 @@ class AcyclicCover(Record):
 
 def check_cover(d: Digraph, cover: AcyclicCover) -> None:
     """Raise InvalidCover unless classes cover d and are each acyclic."""
-    seen = 0
-    for c in cover.classes:
+    _check_class_masks(d, _class_masks(d.n, cover.classes))
+
+
+def _class_masks(n: int, classes):
+    """The member mask of each class, in turn; IndexOutOfRange for a
+    vertex outside 0..n-1, raised as its class is reached."""
+    for c in classes:
         mask = 0
         for v in c:
-            if not (0 <= v < d.n):
-                raise IndexOutOfRange(f"vertex {v} outside 0..{d.n - 1}")
+            if not (0 <= v < n):
+                raise IndexOutOfRange(f"vertex {v} outside 0..{n - 1}")
             mask |= 1 << v
+        yield mask
+
+
+def _check_class_masks(d: Digraph, masks) -> None:
+    """check_cover on the classes' member masks: InvalidCover at the
+    first mask that holds a cycle of d, then for the vertices none
+    holds. masks is iterated once, so a generator that validates each
+    class as it yields it does so before that class's cycle test."""
+    seen = 0
+    for mask in masks:
         seen |= mask
         witness = _cycle_in(d.rows, mask)
         if witness is not None:
-            raise InvalidCover(f"class {c} holds cycle {witness.verts}")
+            raise InvalidCover(
+                f"class {tuple(bits_of(mask))} holds cycle {witness.verts}"
+            )
     missing = ((1 << d.n) - 1) & ~seen
     if missing:
         raise InvalidCover(f"vertices {list(bits_of(missing))} uncovered")

@@ -31,18 +31,26 @@ def transpose_rows(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
     is bit j of rows[i].
 
     From 6 rows a packed block transpose costs less than stepping through
-    the set bits, up to the 256-wide blocks it is made for.
+    the set bits, up to the 256-wide blocks it is made for; above that,
+    the 256×256 tiles of the matrix are transposed as such blocks unless
+    the matrix holds so few bits that stepping through them is cheaper.
     """
     if 5 < n <= 256:
         return _transpose_block(rows, n)
+    if n > 256:
+        tiles = (-(-n // 256)) ** 2
+        if sum(map(int.bit_count, rows)) > _TILE_BITS * tiles:
+            return _transpose_tiled(rows, n)
+    # the highest bit first: bit_length reads it without touching the
+    # other words of a wide row
     cols = [0] * n
     for i, row in enumerate(rows):
         bit = 1 << i
         r = row
         while r:
-            j = (r & -r).bit_length() - 1
+            j = r.bit_length() - 1
             cols[j] |= bit
-            r &= r - 1
+            r ^= 1 << j
     return cols
 
 
@@ -116,6 +124,49 @@ def _transpose_block(rows, n: int) -> list[int]:
         int.from_bytes(buf[i : i + size], "little")
         for i in range(0, n * size, size)
     ]
+
+
+# the set bits per 256×256 tile below which stepping through the bits of
+# a matrix of more than 256 rows costs less than transposing its tiles
+_TILE_BITS = 512
+
+
+def _transpose_tiled(rows, n: int) -> list[int]:
+    """transpose_rows for n > 256: rows as little-endian bytes, cut into
+    256×256 tiles of 32 bytes a row; each tile holding a bit is packed,
+    transposed by the 256-wide delta swaps and kept as bytes, and column
+    j joins the 32-byte pieces of its tiles down the matrix."""
+    _, size, swaps = _BLOCKS.get(256) or _block(256)
+    spans = -(-n // 256)
+    width = spans * size
+    data = [row.to_bytes(width, "little") for row in rows]
+    data += [bytes(width)] * (spans * 256 - n)
+    empty = bytes(256 * size)
+    # tiles[j][i] holds the transposed tile of row span i, column span j
+    tiles: list[list[bytes]] = [[] for _ in range(spans)]
+    for i in range(0, spans * 256, 256):
+        band = data[i : i + 256]
+        for j in range(spans):
+            lo = j * size
+            x = int.from_bytes(
+                b"".join([r[lo : lo + size] for r in band]), "little"
+            )
+            if not x:
+                tiles[j].append(empty)
+                continue
+            for shift, mask in swaps:
+                t = (x ^ (x >> shift)) & mask
+                x ^= t ^ (t << shift)
+            tiles[j].append(x.to_bytes(256 * size, "little"))
+    cols = []
+    for j, column in enumerate(tiles):
+        for c in range(0, min(256, n - 256 * j) * size, size):
+            cols.append(
+                int.from_bytes(
+                    b"".join([t[c : c + size] for t in column]), "little"
+                )
+            )
+    return cols
 
 
 def _byte_bits() -> list[tuple[int, ...]]:
@@ -406,9 +457,12 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     left, where below means strictly below in q or the source of a pair
     into its q-class; the closure is never built. A class is ready with
     all of its members, so the lowest ready element is the least member
-    of the class with the least such member, the tie-break. None when the
-    peel stalls, which happens exactly when the pairs close a cycle of
-    q-classes.
+    of the class with the least such member, the tie-break; a scan of
+    the pending ids, ascending, finds it. A class lies below itself and
+    every class peeled after it, so each member's row is the mask of the
+    elements left when its class is peeled: nested suffix masks,
+    reflexive and transitive as built. None when the peel stalls, which
+    happens exactly when the pairs close a cycle of q-classes.
     """
     same, below, _ = frame
     if pair_rows:
@@ -427,28 +481,24 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
                     for x in bits_of(members):
                         below[x] |= bit
                 row ^= low
-    order = []
-    remaining = (1 << q.n) - 1
-    while remaining:
-        ready = remaining
-        while ready and below[(ready & -ready).bit_length() - 1] & remaining:
-            ready &= ready - 1
-        if not ready:
-            return None
-        members = same[(ready & -ready).bit_length() - 1]
-        order.append(members)
-        remaining &= ~members
-    # a class lies below itself and every class peeled after it: the
-    # rows are nested suffix masks, reflexive and transitive as built
     rows = [0] * q.n
-    suffix = 0
-    for members in reversed(order):
-        suffix |= members
-        if members & (members - 1):
-            for x in bits_of(members):
-                rows[x] = suffix
+    pending = list(range(q.n))
+    remaining = (1 << q.n) - 1
+    while pending:
+        for x in pending:
+            if not below[x] & remaining:
+                break
         else:
-            rows[members.bit_length() - 1] = suffix
+            return None
+        members = same[x]
+        if members & (members - 1):
+            for y in bits_of(members):
+                rows[y] = remaining
+                pending.remove(y)
+        else:
+            rows[x] = remaining
+            pending.remove(x)
+        remaining ^= members
     return trusted(QuasiOrder, q.n, tuple(rows))
 
 

@@ -1,10 +1,14 @@
 """Exact solvers: dichromatic number, chromatic number, order dimension.
 
-One deterministic search finds least acyclic covers. The chromatic number
-is read off the acyclic cover of the symmetric digraph (every edge is a
-2-cycle, so an acyclic class is an independent set) and the dimension off
-that of the critical-pair digraph. Budgets bound search nodes; hitting
-one raises LimitExceeded rather than guessing.
+One deterministic search finds least acyclic covers, as the member
+masks of their classes, and checks each cover before it leaves the
+module. The dichromatic number wraps the masks in an AcyclicCover, and
+the chromatic number reads that cover of the symmetric digraph (every
+edge is a 2-cycle, so an acyclic class is an independent set). The
+dimension covers the critical-pair digraph and lifts each class mask
+straight to a linear extension, with no cover record between. Budgets
+bound search nodes; hitting one raises LimitExceeded rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from .records import Record, set_slot, trusted
 from .reduction import (
     AcyclicCover,
     ExtensionFamily,
+    _check_class_masks,
     _critical_pair_frame,
     _lift_pair_sets,
-    check_cover,
 )
-from .relations import QuasiOrder, bits_of, linear_extension, transpose_rows
+from .relations import QuasiOrder, _peel, bits_of, transpose_rows
 
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
@@ -131,6 +135,10 @@ def _assign_classes(
     Classes open in index order (the first vertex placed in a fresh class
     is the earliest unassigned one), which breaks class symmetry, so depth
     i may try classes 0..limit[i] with limit[i] = min(classes used, k-1).
+    An inner loop tries one depth's classes in turn, each try one node,
+    with the vertex's in-row and the limit held in locals; it places the
+    vertex in the first class that stays acyclic, or backtracks to the
+    class after the one the previous depth's vertex holds.
 
     Each class c keeps only its member mask M_c. Placing v in c closes a
     cycle iff some member v points to reaches, by a path inside the class,
@@ -145,7 +153,6 @@ def _assign_classes(
         return []
     assign = [-1] * m
     limit = [0] * m
-    trial = [0] * m
     masks = [0] * k
     # depth-indexed out-rows, in-rows and bits of the vertices, and each
     # vertex's out-row under its bit for the forward steps
@@ -155,23 +162,19 @@ def _assign_classes(
     out_of = {1 << v: rows[v] for v in order}
     nodes = counter[0]
     depth = 0
+    c = 0
     while True:
-        c = trial[depth]
-        if c > limit[depth]:
-            depth -= 1
-            if depth < 0:
+        in_row = ins[depth]
+        lim = limit[depth]
+        while c <= lim:
+            nodes += 1
+            if nodes > budget:
                 counter[0] = nodes
-                return None
-            masks[assign[depth]] ^= vbits[depth]
-            trial[depth] += 1
-            continue
-        nodes += 1
-        if nodes > budget:
-            counter[0] = nodes
-            raise LimitExceeded(budget, "acyclic cover search")
-        members = masks[c]
-        into = ins[depth] & members
-        if into:
+                raise LimitExceeded(budget, "acyclic cover search")
+            members = masks[c]
+            into = in_row & members
+            if not into:
+                break
             seen = front = outs[depth] & members
             while front and not front & into:
                 step = 0
@@ -181,33 +184,39 @@ def _assign_classes(
                     front ^= low
                 front = step & members & ~seen
                 seen |= front
-            if front:
-                trial[depth] += 1
-                continue
+            if not front:
+                break
+            c += 1
+        else:
+            depth -= 1
+            if depth < 0:
+                counter[0] = nodes
+                return None
+            c = assign[depth]
+            masks[c] ^= vbits[depth]
+            c += 1
+            continue
         assign[depth] = c
         masks[c] = members | vbits[depth]
         if depth == m - 1:
             counter[0] = nodes
             return masks
         # a fresh class opens at the next depth unless all k are open
-        lim = limit[depth]
         depth += 1
         limit[depth] = lim + 1 if c == lim < k - 1 else lim
-        trial[depth] = 0
+        c = 0
 
 
-def dichromatic_number(
-    d: Digraph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> DicrResult:
-    """Least number of acyclic classes covering d, with a witness cover.
+def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
+    """The least number of acyclic classes covering d and the member
+    masks of such classes, checked by check_cover's test on the masks.
 
     Strong components are solved separately (a cycle never leaves one) and
     the per-component optima are overlaid; singleton components carry no
     cycle and join the first class.
     """
-    _check_budget(budget)
     if d.n == 0:
-        return DicrResult(0, AcyclicCover(()))
+        return 0, []
     cols = transpose_rows(d.rows, d.n)
     counter = [0]
     k_total = 1
@@ -222,16 +231,25 @@ def dichromatic_number(
             k_total = k_c
         for j, mask in enumerate(masks):
             merged[j] |= mask
+    _check_class_masks(d, merged)
+    return k_total, merged
+
+
+def dichromatic_number(
+    d: Digraph, budget: int = DEFAULT_SEARCH_BUDGET
+) -> DicrResult:
+    """Least number of acyclic classes covering d, with a witness cover."""
+    _check_budget(budget)
+    k, masks = _least_cover(d, budget)
     # the classes are ascending bit walks of disjoint masks, so already in
     # AcyclicCover's normal form; each goes through a list, since tuple()
     # of the bit walk of a mask of 24 or more vertices grows by
     # reallocation, which raised the peak RSS of a dim-search run by half
     # a megabyte
     cover = trusted(
-        AcyclicCover, tuple([tuple(list(bits_of(m))) for m in merged])
+        AcyclicCover, tuple([tuple(list(bits_of(m))) for m in masks])
     )
-    check_cover(d, cover)
-    return DicrResult(k_total, cover)
+    return DicrResult(k, cover)
 
 
 def chromatic_number(
@@ -258,19 +276,19 @@ def order_dimension(
     """Least size of an extension family deciding every ordered pair.
 
     Covers the critical-pair subdigraph of the pair digraph with the
-    fewest acyclic classes and lifts each class to a linear extension that
-    reverses its pairs. Quotients with at most one class need no extension
-    at all, so the answer there is 0; a chain has no critical pair and
-    answers 1 with its own linear extension.
+    fewest acyclic classes and lifts each class mask, read as its pairs,
+    to a linear extension that reverses them. Quotients with at most one
+    class need no extension at all, so the answer there is 0; a chain has
+    no critical pair and answers 1 with its own linear extension.
     """
     _check_budget(budget)
     cp, pairs, frame = _critical_pair_frame(q)
     if cp.n == 0:
         if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
-        return DimResult(1, ExtensionFamily(q, (linear_extension(q),)))
-    res = dichromatic_number(cp, budget)
+        return DimResult(1, ExtensionFamily(q, (_peel(q, frame, None),)))
+    k, masks = _least_cover(cp, budget)
     exts = _lift_pair_sets(
-        q, frame, [[pairs[v] for v in cls] for cls in res.witness.classes]
+        q, frame, [[pairs[v] for v in bits_of(m)] for m in masks]
     )
-    return DimResult(res.k, ExtensionFamily(q, exts))
+    return DimResult(k, ExtensionFamily(q, exts))

@@ -116,7 +116,12 @@ def test_monotone_length_guard_exits_three(capsys):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, "g0", "monotone", "--sigma", at + ",2")
     assert time.perf_counter() - t0 < 1
-    assert code == 3 and out == "" and "monotone guard" in err
+    assert code == 3 and out == ""
+    # a size guard is not a budget, and its message says so
+    assert err == (
+        f"too large: length {MAX_MONOTONE_LENGTH + 1} exceeds the "
+        f"monotone guard of {MAX_MONOTONE_LENGTH}\n"
+    )
 
 
 def test_density_depth_guard(capsys):
@@ -325,7 +330,8 @@ def test_chrom_budget_exits_three(capsys, tmp_path):
          "edges": [[i, j] for i in range(3) for j in range(3) if i != j]},
     )
     code, out, err = invoke(capsys, "chrom", k3, "--budget", "1")
-    assert code == 3 and out == "" and "acyclic cover search" in err
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: acyclic cover search\n"
     code, out, _ = invoke(capsys, "chrom", k3)
     assert code == 0 and json.loads(out) == {"k": 3, "coloring": [0, 1, 2]}
 
@@ -375,7 +381,7 @@ def test_gen_below_a_kinds_least_size_is_usage_error(capsys, kind, n):
 
 def test_gen_size_guard_exits_three(capsys):
     code, out, err = invoke(capsys, "gen", "boolean", "--n", "30")
-    assert code == 3 and out == "" and "budget exceeded" in err
+    assert code == 3 and out == "" and err.startswith("too large: ")
 
 
 def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
@@ -384,7 +390,7 @@ def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, "gen", "chain", "--n", "16384")
     assert time.perf_counter() - t0 < 1
-    assert code == 3 and out == "" and "budget exceeded" in err
+    assert code == 3 and out == "" and err.startswith("too large: ")
     code, out, _ = invoke(capsys, "gen", "chain", "--n", str(MAX_GEN_N))
     assert code == 0 and json.loads(out)["n"] == MAX_GEN_N
 
@@ -700,7 +706,7 @@ def test_verify_refuses_enumeration_above_its_guard_at_once(capsys, name):
     code, out, err = invoke(capsys, "verify", name, "--n", "7")
     assert time.perf_counter() - t0 < 1
     assert code == 3 and out == ""
-    assert err == "budget exceeded: poset enumeration guarded to n <= 6, got 7\n"
+    assert err == "too large: poset enumeration guarded to n <= 6, got 7\n"
     assert invoke(capsys, "enumerate", "--n", "7") == (3, "", err)
 
 

@@ -25,7 +25,12 @@ from orderdim import (
     random_quasi,
 )
 from orderdim.errors import IndexOutOfRange
-from orderdim.relations import bits_of, close_rows, transpose_rows
+from orderdim.relations import (
+    _transpose_tiled,
+    bits_of,
+    close_rows,
+    transpose_rows,
+)
 from orderdim.rng import SplitMix64
 
 from .oracles import (
@@ -320,6 +325,17 @@ def test_transpose_rows_matches_columns_at_every_size():
 def test_transpose_rows_matches_columns_at_any_density(n, p, seed):
     rows = _rows(n, p, seed)
     assert transpose_rows(rows, n) == columns(rows, n)
+
+
+@pytest.mark.parametrize("n", [257, 300, 1000])
+def test_tiled_transpose_matches_columns_dense_and_sparse(n):
+    # sparse matrices fall back to the bit walk, so the tiles are also
+    # checked on them directly; a chain leaves its lower tiles empty
+    chain = [((1 << n) - 1) >> i << i for i in range(n)]
+    for rows in [_rows(n, p, n) for p in (0.0005, 0.01, 0.5, 1.0)] + [chain]:
+        want = columns(rows, n)
+        assert transpose_rows(rows, n) == want
+        assert _transpose_tiled(rows, n) == want
 
 
 def _around(edge):

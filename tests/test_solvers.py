@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orderdim import (
     Digraph,
+    InvalidCover,
     LimitExceeded,
     NotAGraph,
     TooLarge,
@@ -28,10 +29,12 @@ from orderdim import (
     pair_digraph,
     quasi_order,
     quotient,
+    random_order,
     random_quasi,
     random_symmetric,
     realizer_oracle,
 )
+from orderdim import solvers
 from orderdim.relations import transpose_rows
 from orderdim.rng import SplitMix64
 from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
@@ -255,6 +258,29 @@ def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
     res = order_dimension(base)
     assert res.d == realizer_oracle(base, 4)
     assert all(ext.is_total() for ext in res.witness.exts)
+
+
+def test_search_masks_are_checked_before_they_leave(monkeypatch):
+    # order_dimension lifts the search's class masks with no cover record
+    # between, so a class that holds a cycle must still be caught there
+    def one_class(rows, cols, verts, budget, counter):
+        return 1, [sum(1 << v for v in verts)]
+
+    monkeypatch.setattr(solvers, "_cover_scc", one_class)
+    with pytest.raises(InvalidCover, match=r"^class \(0, 1, 2\) holds cycle"):
+        dichromatic_number(directed_cycle(3))
+    with pytest.raises(InvalidCover, match="holds cycle"):
+        order_dimension(crown_order(3))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dimension_is_the_critical_pair_dichromatic_number(seed):
+    for q in (
+        random_order(8 + seed % 7, 0.3, seed),
+        random_quasi(6 + seed % 5, 0.15, seed),
+    ):
+        cp, _ = critical_pair_digraph(q)
+        assert order_dimension(q).d == dichromatic_number(cp).k
 
 
 def test_budget_must_be_an_int():
