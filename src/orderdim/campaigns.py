@@ -4,7 +4,13 @@ A certificate records claim, instance, witness, and a verified flag. The
 flag is always recomputed by the matching checker in `check.py` from the
 serialized instance and witness alone, so `recheck` on a stored
 certificate line reproduces it; solvers never get to grade their own
-answers.
+answers. Each runner builds its claim, seed and config into one stamp,
+which numbers the certificates 0, 1, ... in the order they are made.
+
+`run_campaign` checks the name and the lower bound on n at the call. The
+campaigns that enumerate every poset on up to n points refuse n above
+the enumeration guard when the first certificate is asked for, before
+any poset is made.
 """
 
 from __future__ import annotations
@@ -92,16 +98,19 @@ class Certificate(Record):
         return dict(zip(self._fields, self._key(self)))
 
 
-def _cert(claim, index, instance, witness, seed, config) -> Certificate:
-    return Certificate(
-        claim,
-        index,
-        instance,
-        witness,
-        _verdict(claim, instance, witness),
-        seed,
-        config,
-    )
+def _stamp(claim, seed, config, first=0):
+    """The certificate maker of one campaign run: cert(instance, witness)
+    numbers from `first` in the order made, and the claim's checker
+    grades each certificate."""
+    index = itertools.count(first)
+
+    def cert(instance, witness) -> Certificate:
+        verdict = _verdict(claim, instance, witness)
+        return Certificate(
+            claim, next(index), instance, witness, verdict, seed, config
+        )
+
+    return cert
 
 
 # --------------------------------------------------------------- campaigns
@@ -109,15 +118,16 @@ def _cert(claim, index, instance, witness, seed, config) -> Certificate:
 
 
 def _posets(n):
-    """Every labelled poset on at most n points, numbered from 0."""
-    return enumerate(
-        base for size in range(n + 1) for base in enumerate_posets(size)
-    )
+    """Every labelled poset on at most n points; n past the enumeration
+    guard is refused before any poset is made."""
+    guard_enumeration(n)
+    for size in range(n + 1):
+        yield from enumerate_posets(size)
 
 
 def run_odim_eq_dicr(n, seed, budget):
-    config = {"n": n, "exhaustive": True}
-    for idx, base in _posets(n):
+    cert = _stamp("odim_eq_dicr", None, {"n": n, "exhaustive": True})
+    for base in _posets(n):
         via = order_dimension(base, budget)
         oracle = realizer_oracle(base, max(via.d, 1))
         ap, _ = pair_digraph(base)
@@ -129,20 +139,13 @@ def run_odim_eq_dicr(n, seed, budget):
             "family": family_payload(via.witness),
             "cover": cover_payload(res.witness),
         }
-        yield _cert(
-            "odim_eq_dicr",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            None,
-            config,
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def run_dim_agreement(n, seed, budget):
-    config = {"n": n, "count": 30}
+    cert = _stamp("dim_agreement", seed, {"n": n, "count": 30})
     rng = SplitMix64(seed)
-    for idx in range(30):
+    for _ in range(30):
         size = 1 + rng.below(n)
         p = 0.15 + 0.1 * rng.below(6)
         base = random_quasi(size, p, rng.next_u64())
@@ -155,18 +158,12 @@ def run_dim_agreement(n, seed, budget):
             "d_oracle": d_oracle,
             "family": family_payload(via.witness),
         }
-        yield _cert(
-            "dim_agreement",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            seed,
-            config,
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def run_dim_landmarks(n, seed, budget):
-    for idx, (name, (base, expected)) in enumerate(DIM_LANDMARKS.items()):
+    cert = _stamp("dim_landmark", None, {})
+    for name, (base, expected) in DIM_LANDMARKS.items():
         res = order_dimension(base, budget)
         witness = {
             "name": name,
@@ -174,17 +171,11 @@ def run_dim_landmarks(n, seed, budget):
             "d": res.d,
             "family": family_payload(res.witness),
         }
-        yield _cert(
-            "dim_landmark",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            None,
-            {},
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def run_dicr_landmarks(n, seed, budget):
+    cert = _stamp("dicr_landmark", seed, {})
     fixtures = [(name, g, k) for name, (g, k) in DICR_LANDMARKS.items()]
     rng = SplitMix64(seed)
     for i in range(5):
@@ -196,7 +187,7 @@ def run_dicr_landmarks(n, seed, budget):
             if rng.chance(0.4)
         ]
         fixtures.append((f"dag-{i}", digraph(size, dag_edges), 1))
-    for idx, (name, g, expected) in enumerate(fixtures):
+    for name, g, expected in fixtures:
         res = dichromatic_number(g, budget)
         witness = {
             "name": name,
@@ -204,20 +195,13 @@ def run_dicr_landmarks(n, seed, budget):
             "k": res.k,
             "cover": cover_payload(res.witness),
         }
-        yield _cert(
-            "dicr_landmark",
-            idx,
-            {"digraph": digraph_payload(g)},
-            witness,
-            seed,
-            {},
-        )
+        yield cert({"digraph": digraph_payload(g)}, witness)
 
 
 def run_graph_collapse(n, seed, budget):
-    config = {"n": n, "count": 100}
+    cert = _stamp("graph_collapse", seed, {"n": n, "count": 100})
     rng = SplitMix64(seed)
-    for idx in range(100):
+    for _ in range(100):
         size = 1 + rng.below(n)
         p = 0.1 + 0.08 * rng.below(8)
         g = random_symmetric(size, p, rng.next_u64())
@@ -232,19 +216,12 @@ def run_graph_collapse(n, seed, budget):
             "dichromatic": k,
             "cover": cover_payload(AcyclicCover(classes)),
         }
-        yield _cert(
-            "graph_collapse",
-            idx,
-            {"digraph": digraph_payload(g)},
-            witness,
-            seed,
-            config,
-        )
+        yield cert({"digraph": digraph_payload(g)}, witness)
 
 
 def run_h1plus(n, seed, budget):
-    config = {"n": n, "exhaustive": True}
-    for idx, base in _posets(n):
+    cert = _stamp("h1plus", None, {"n": n, "exhaustive": True})
+    for base in _posets(n):
         ap, _ = pair_digraph(base)
         bp, _ = pair_digraph(base, incomparable_only=True)
         res_a = dichromatic_number(ap, budget)
@@ -255,14 +232,7 @@ def run_h1plus(n, seed, budget):
             "a_cover": cover_payload(res_a.witness),
             "b_cover": cover_payload(res_b.witness),
         }
-        yield _cert(
-            "h1plus",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            None,
-            config,
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def _acyclic_subset(ap, ids):
@@ -275,7 +245,7 @@ def _acyclic_subset(ap, ids):
 
 
 def run_cyclefree_extends(n, seed, budget):
-    config = {"n": n, "count": 500}
+    cert = _stamp("cyclefree_extends", seed, {"n": n, "count": 500})
     rng = SplitMix64(seed)
     for idx in range(500):
         size = 2 + rng.below(max(n - 1, 1))
@@ -286,10 +256,7 @@ def run_cyclefree_extends(n, seed, budget):
             else random_order(size, p, rng.next_u64())
         )
         ap, pairs = pair_digraph(base)
-        if ap.n == 0:
-            ids = []
-        else:
-            ids = [v for v in range(ap.n) if rng.chance(0.4)]
+        ids = [v for v in range(ap.n) if rng.chance(0.4)]
         if idx % 2 == 1:
             ids = _acyclic_subset(ap, ids)
         offered = [list(pairs[v]) for v in ids]
@@ -309,12 +276,12 @@ def run_cyclefree_extends(n, seed, budget):
                 "outcome": "cycle",
                 "cycle": [list(p) for p in exc.pairs],
             }
-        yield _cert("cyclefree_extends", idx, instance, witness, seed, config)
+        yield cert(instance, witness)
 
 
 def run_roundtrip(n, seed, budget):
-    config = {"n": n, "exhaustive": True}
-    for idx, base in _posets(n):
+    cert = _stamp("roundtrip", None, {"n": n, "exhaustive": True})
+    for base in _posets(n):
         ap, _ = pair_digraph(base)
         cover = dichromatic_number(ap, budget).witness
         fam = cover_to_extensions(base, cover)
@@ -324,46 +291,28 @@ def run_roundtrip(n, seed, budget):
             "cover": cover_payload(cover),
             "back_cover": cover_payload(back),
         }
-        yield _cert(
-            "roundtrip",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            None,
-            config,
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def run_g0_objects(n, seed, budget):
     max_len = min(n, 3)
-    config = {"max_len": max_len, "max_branch": 4}
-    sigmas = [
-        sigma
-        for length in range(max_len + 1)
-        for sigma in itertools.product(range(2, 5), repeat=length)
-    ]
-    for idx, sigma in enumerate(sigmas):
-        witness = {
-            "level_edges": [
-                level_edge_count(sigma, k) for k in range(len(sigma))
-            ],
-            "canonical_cycles": len(canonical_cycles(sigma)),
-            "monotone": prefix_monotone(sigma),
-        }
-        yield _cert(
-            "g0_objects",
-            idx,
-            {"sigma": list(sigma)},
-            witness,
-            None,
-            config,
-        )
+    cert = _stamp("g0_objects", None, {"max_len": max_len, "max_branch": 4})
+    for length in range(max_len + 1):
+        for sigma in itertools.product(range(2, 5), repeat=length):
+            witness = {
+                "level_edges": [
+                    level_edge_count(sigma, k) for k in range(length)
+                ],
+                "canonical_cycles": len(canonical_cycles(sigma)),
+                "monotone": prefix_monotone(sigma),
+            }
+            yield cert({"sigma": list(sigma)}, witness)
 
 
 def run_xinapg(n, seed, budget):
-    config = {"n": n, "count": 100}
+    cert = _stamp("two_level_embedding", seed, {"n": n, "count": 100})
     rng = SplitMix64(seed)
-    for idx in range(100):
+    for _ in range(100):
         size = 1 + rng.below(n)
         p = 0.1 + 0.06 * rng.below(6)
         g = random_digraph(size, p, rng.next_u64())
@@ -377,18 +326,11 @@ def run_xinapg(n, seed, budget):
             "source_cover": cover_payload(res_g.witness),
             "pair_cover": cover_payload(res_ap.witness),
         }
-        yield _cert(
-            "two_level_embedding",
-            idx,
-            {"digraph": digraph_payload(g)},
-            witness,
-            seed,
-            config,
-        )
+        yield cert({"digraph": digraph_payload(g)}, witness)
 
 
 def run_hom_transfer(n, seed, budget):
-    config = {"n": n, "count": 30}
+    cert = _stamp("hom_transfer", seed, {"n": n, "count": 30})
     rng = SplitMix64(seed)
     made = 0
     idx = 0
@@ -414,14 +356,8 @@ def run_hom_transfer(n, seed, budget):
             "g_cover": cover_payload(res_g.witness),
             "h_cover": cover_payload(res_h.witness),
         }
-        yield _cert(
-            "hom_transfer",
-            made,
-            {"g": digraph_payload(g), "h": digraph_payload(h)},
-            witness,
-            seed,
-            config,
-        )
+        instance = {"g": digraph_payload(g), "h": digraph_payload(h)}
+        yield cert(instance, witness)
         made += 1
 
 
@@ -435,8 +371,8 @@ def _induced(d: Digraph, keep) -> Digraph:
 
 
 def run_separators(n, seed, budget):
-    config = {"n": n, "exhaustive": True}
-    for idx, base in _posets(n):
+    cert = _stamp("separators", None, {"n": n, "exhaustive": True})
+    for base in _posets(n):
         try:
             fam = family_from_separators(base, prefix_separators(base.n))
         except IncompleteFamily as err:
@@ -448,14 +384,7 @@ def run_separators(n, seed, budget):
                 "bound": fam.size,
                 "d": order_dimension(base, budget).d,
             }
-        yield _cert(
-            "separators",
-            idx,
-            {"order": order_payload(base)},
-            witness,
-            None,
-            config,
-        )
+        yield cert({"order": order_payload(base)}, witness)
 
 
 def run_minimal_hom(n, seed, budget):
@@ -469,14 +398,10 @@ def run_minimal_hom(n, seed, budget):
         "minimal_exists": strict is not None,
         "violating_pair": list(reject.pair) if reject.pair else None,
     }
-    yield _cert(
-        "wrap_pair",
-        0,
-        {"g": digraph_payload(g), "h": digraph_payload(h)},
-        witness,
-        None,
-        {},
+    yield _stamp("wrap_pair", None, {})(
+        {"g": digraph_payload(g), "h": digraph_payload(h)}, witness
     )
+    chain = _stamp("minimal_chain", seed, {"count": 50}, first=1)
     rng = SplitMix64(seed)
     made = 0
     while made < 50:
@@ -491,47 +416,42 @@ def run_minimal_hom(n, seed, budget):
         w2 = find_homomorphism(mid, big, minimal=True, budget=budget)
         if w1 is None or w2 is None:
             continue
+        instance = {
+            "g": digraph_payload(small),
+            "h": digraph_payload(mid),
+            "k": digraph_payload(big),
+        }
         witness = {"map_gh": list(w1.mapping), "map_hk": list(w2.mapping)}
-        yield _cert(
-            "minimal_chain",
-            made + 1,
-            {
-                "g": digraph_payload(small),
-                "h": digraph_payload(mid),
-                "k": digraph_payload(big),
-            },
-            witness,
-            seed,
-            {"count": 50},
-        )
+        yield chain(instance, witness)
         made += 1
 
 
 # name -> (runner, default size bound n or None where the campaign has
-# none, least n: 1 where the runner draws instance sizes from 1..n,
-# whether it enumerates every poset on up to n points)
+# none, least n: 1 where the runner draws instance sizes from 1..n)
 CAMPAIGNS = {
-    "odim-eq-dicr": (run_odim_eq_dicr, 4, 0, True),
-    "dim-agreement": (run_dim_agreement, 6, 1, False),
-    "dim-landmarks": (run_dim_landmarks, None, 0, False),
-    "dicr-landmarks": (run_dicr_landmarks, None, 0, False),
-    "graph-collapse": (run_graph_collapse, 8, 1, False),
-    "h1plus": (run_h1plus, 4, 0, True),
-    "cyclefree-extends": (run_cyclefree_extends, 7, 0, False),
-    "roundtrip": (run_roundtrip, 4, 0, True),
-    "g0": (run_g0_objects, 3, 0, False),
-    "xinapg": (run_xinapg, 6, 1, False),
-    "hom-transfer": (run_hom_transfer, 6, 0, False),
-    "separators": (run_separators, 4, 0, True),
-    "minimal-hom": (run_minimal_hom, None, 0, False),
+    "odim-eq-dicr": (run_odim_eq_dicr, 4, 0),
+    "dim-agreement": (run_dim_agreement, 6, 1),
+    "dim-landmarks": (run_dim_landmarks, None, 0),
+    "dicr-landmarks": (run_dicr_landmarks, None, 0),
+    "graph-collapse": (run_graph_collapse, 8, 1),
+    "h1plus": (run_h1plus, 4, 0),
+    "cyclefree-extends": (run_cyclefree_extends, 7, 0),
+    "roundtrip": (run_roundtrip, 4, 0),
+    "g0": (run_g0_objects, 3, 0),
+    "xinapg": (run_xinapg, 6, 1),
+    "hom-transfer": (run_hom_transfer, 6, 0),
+    "separators": (run_separators, 4, 0),
+    "minimal-hom": (run_minimal_hom, None, 0),
 }
 
 
 def run_campaign(name, n=None, seed=0, budget=None):
-    """The campaign's certificates, streamed lazily. The name and n are
-    checked here, before the first certificate is made."""
+    """The campaign's certificates, streamed lazily. The name and the
+    lower bound on n are checked here, at the call; a campaign that
+    enumerates posets refuses n past the enumeration guard (TooLarge)
+    when the first certificate is asked for, before it makes one."""
     try:
-        runner, default_n, least_n, enumerates = CAMPAIGNS[name]
+        runner, default_n, least_n = CAMPAIGNS[name]
     except KeyError:
         raise OrderdimError(
             f"unknown campaign {name!r}; choose from "
@@ -541,8 +461,6 @@ def run_campaign(name, n=None, seed=0, budget=None):
         n = default_n
     elif n < least_n:
         raise OrderdimError(f"campaign {name} needs n >= {least_n}, got {n}")
-    if enumerates:
-        guard_enumeration(n)
     return runner(
         n, seed, DEFAULT_SEARCH_BUDGET if budget is None else budget
     )

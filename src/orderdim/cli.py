@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRange,
     LimitExceeded,
     OrderdimError,
+    SizeMismatch,
     TooLarge,
 )
 from .reduction import (
@@ -48,9 +49,6 @@ from .solvers import (
     dichromatic_number,
     order_dimension,
 )
-
-GUARD_ERRORS = (LimitExceeded, TooLarge)
-
 
 class UsageError(Exception):
     pass
@@ -347,7 +345,12 @@ def _cmd_hom(args, out) -> int:
     w = _load(args.witness, homwitness_from_payload)
     # --minimal asks for the cycle rule even when the witness does not
     w = HomWitness(w.mapping, w.minimal or args.minimal)
-    res = verify_homomorphism(g, h, w, budget=_resolve_budget(args))
+    try:
+        res = verify_homomorphism(g, h, w, budget=_resolve_budget(args))
+    except (SizeMismatch, IndexOutOfRange) as exc:
+        # a map of the wrong length or with an image outside H is bad
+        # input rather than a violated property
+        raise UsageError(f"{args.witness}: {exc}")
     payload = {
         "ok": res.ok,
         "reason": res.reason,
@@ -427,8 +430,6 @@ def _cmd_verify(args, out) -> int:
     budget = _resolve_budget(args)
     try:
         certs = run_campaign(args.name, n=args.n, seed=args.seed, budget=budget)
-    except GUARD_ERRORS:
-        raise
     except OrderdimError as exc:
         raise UsageError(str(exc))
     total = 0
@@ -672,6 +673,12 @@ def _parse(argv):
     return args
 
 
+def _to_devnull(stream) -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def run(argv) -> int:
     try:
         args = _parse(argv)
@@ -685,11 +692,13 @@ def run(argv) -> int:
         return code
     except BrokenPipeError:
         # the reader closed the pipe; send what is still buffered to
-        # /dev/null so the flush at exit cannot raise a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-        print("error: output pipe closed", file=sys.stderr)
+        # /dev/null so the flush at exit cannot raise a second time, and
+        # stderr too when it is the same closed pipe
+        _to_devnull(out)
+        try:
+            print("error: output pipe closed", file=sys.stderr)
+        except BrokenPipeError:
+            _to_devnull(sys.stderr)
         return 2
     except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,28 @@ def test_certificates_recheck_from_serialized_payload():
         assert recheck_certificate(payload) is True
 
 
+def test_certificates_are_numbered_in_the_order_made():
+    for name, kw in SMALL.items():
+        indices = [c.index for c in run_campaign(name, seed=3, **kw)]
+        assert indices == list(range(len(indices))), name
+    claims = [c.claim for c in run_campaign("minimal-hom", seed=3)]
+    assert claims[0] == "wrap_pair"
+    assert set(claims[1:]) == {"minimal_chain"}
+
+
+@pytest.mark.parametrize(
+    "name", ["h1plus", "odim-eq-dicr", "roundtrip", "separators"]
+)
+def test_enumeration_guard_fires_at_the_first_certificate(name):
+    # the call only checks the name and n; the guard fires on the first
+    # request, before any poset of a smaller size is made
+    certs = run_campaign(name, n=7)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        next(iter(certs))
+    assert time.perf_counter() - t0 < 1
+
+
 def test_registry_and_unknown_names():
     assert set(CAMPAIGNS) == set(SMALL)
     with pytest.raises(OrderdimError):

@@ -499,6 +499,25 @@ def test_hom_find_and_check_round_trip(capsys, tmp_path, c3):
     assert code == 1 and json.loads(out)["found"] is False
 
 
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ([0, 1], "mapping covers 2 of 3 vertices"),
+        ([0, 1, 3], "image 3 outside 0..2"),
+    ],
+)
+def test_hom_check_malformed_map_is_usage_error(
+    capsys, tmp_path, c3, mapping, message
+):
+    witness = write(
+        tmp_path, "w.json", {"kind": "homwitness", "map": mapping}
+    )
+    for extra in ((), ("--minimal",)):
+        assert invoke(capsys, "hom", "check", c3, c3, witness, *extra) == (
+            2, "", f"error: {witness}: {message}\n"
+        )
+
+
 def test_hom_check_minimal_flag_asks_for_the_cycle_rule(capsys, tmp_path, c3):
     c6 = write(
         tmp_path,
@@ -697,7 +716,7 @@ def test_verify_n_below_the_least_size_is_usage_error(capsys, name):
 
 
 @pytest.mark.parametrize(
-    "name", sorted(n for n, entry in CAMPAIGNS.items() if entry[3])
+    "name", ["h1plus", "odim-eq-dicr", "roundtrip", "separators"]
 )
 def test_verify_refuses_enumeration_above_its_guard_at_once(capsys, name):
     # these campaigns enumerate every poset up to n; 7 would run every
@@ -1031,6 +1050,21 @@ def test_closed_stdout_pipe_exits_two():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err and "pipe" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "--n", "6"), ("verify", "g0")]
+)
+def test_closed_pipe_shared_with_stderr_exits_two(argv):
+    # stderr on the same closed pipe: the closing message cannot be
+    # written either, and must not raise a second time
+    proc = child(
+        "-m", "orderdim.cli", *argv,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
 
 
 def test_cold_imports_skip_dataclasses_and_campaigns(tmp_path, crown, c3):
