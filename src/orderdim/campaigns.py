@@ -7,10 +7,11 @@ certificate line reproduces it; solvers never get to grade their own
 answers. Each runner builds its claim, seed and config into one stamp,
 which numbers the certificates 0, 1, ... in the order they are made.
 
-`run_campaign` checks the name and the lower bound on n at the call. The
-campaigns that enumerate every poset on up to n points refuse n above
-the enumeration guard when the first certificate is asked for, before
-any poset is made.
+`run_campaign` checks the name and n at the call. A campaign refuses
+(TooLarge) a size above its generator's guard when it comes to it,
+before making the instance: n above the enumeration guard for those
+that enumerate every poset on up to n points, and an instance size above
+`generate.MAX_GEN_N` for the random ones.
 """
 
 from __future__ import annotations
@@ -426,8 +427,8 @@ def run_minimal_hom(n, seed, budget):
         made += 1
 
 
-# name -> (runner, default size bound n or None where the campaign has
-# none, least n: 1 where the runner draws instance sizes from 1..n)
+# name -> (runner, default size bound n or None where the campaign takes
+# no n, least n: 1 where the runner draws instance sizes from 1..n)
 CAMPAIGNS = {
     "odim-eq-dicr": (run_odim_eq_dicr, 4, 0),
     "dim-agreement": (run_dim_agreement, 6, 1),
@@ -446,10 +447,9 @@ CAMPAIGNS = {
 
 
 def run_campaign(name, n=None, seed=0, budget=None):
-    """The campaign's certificates, streamed lazily. The name and the
-    lower bound on n are checked here, at the call; a campaign that
-    enumerates posets refuses n past the enumeration guard (TooLarge)
-    when the first certificate is asked for, before it makes one."""
+    """The campaign's certificates, streamed lazily. The name and n are
+    checked here, at the call; the size guards of the module docstring
+    fire as the certificates are asked for."""
     try:
         runner, default_n, least_n = CAMPAIGNS[name]
     except KeyError:
@@ -459,6 +459,8 @@ def run_campaign(name, n=None, seed=0, budget=None):
         ) from None
     if n is None:
         n = default_n
+    elif default_n is None:
+        raise OrderdimError(f"campaign {name} takes no n")
     elif n < least_n:
         raise OrderdimError(f"campaign {name} needs n >= {least_n}, got {n}")
     return runner(

@@ -77,25 +77,26 @@ def realizer_oracle(q: QuasiOrder, max_d: int) -> int | None:
     lt = 0
     for a, row in enumerate(qt.lt_rows):
         lt |= row << (a * m)
-    below = transpose_rows(qt.lt_rows, m)
     linears = []
-
-    def place(left: int, pairs: int) -> None:
-        # each class placed next goes before every class still left
-        if not left:
-            linears.append(pairs)
-            return
-        for x in bits_of(left):
-            if not below[x] & left:
-                rest = left & ~(1 << x)
-                place(rest, pairs | rest << (x * m))
-
-    place((1 << m) - 1, 0)
+    _place(transpose_rows(qt.lt_rows, m), m, (1 << m) - 1, 0, linears)
     for dd in range(1, max_d + 1):
         for combo in itertools.combinations(linears, dd):
             if functools.reduce(operator.and_, combo) == lt:
                 return dd
     return None
+
+
+def _place(below, m: int, left: int, pairs: int, linears: list) -> None:
+    """Append the pair mask of every linear extension that places the
+    classes of left, each before every class still left, after pairs.
+    Not a closure: a recursive closure is a reference cycle."""
+    if not left:
+        linears.append(pairs)
+        return
+    for x in bits_of(left):
+        if not below[x] & left:
+            rest = left & ~(1 << x)
+            _place(below, m, rest, pairs | rest << (x * m), linears)
 
 
 def _closure_rows(base: QuasiOrder, pairs) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ default search budget; --budget overrides both.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -104,24 +105,6 @@ def _emit(args, out, payload: dict, text: str) -> None:
     out.write(dumps(payload) if args.format == "json" else text + "\n")
 
 
-def _without_gc(write) -> None:
-    """write() with the cyclic collector paused, then restored.
-
-    A large payload is millions of small lists and no reference cycle,
-    so collections that run while it is built and dumped find nothing to
-    free; they took about half the time of listing one.
-    """
-    import gc
-
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        write()
-    finally:
-        if enabled:
-            gc.enable()
-
-
 class _OpenOnWrite:
     """The --out file, opened at the first write, so a command that fails
     before its output, or reads that same file, leaves it as it was."""
@@ -195,16 +178,11 @@ def _cmd_reduce(args, out) -> int:
                 f"{edges} pair edges exceed the pair edge guard of "
                 f"{MAX_PAIR_EDGES}"
             )
-        _without_gc(
-            lambda: _emit(
-                args,
-                out,
-                {
-                    "digraph": digraph_payload(d),
-                    "pairs": [list(p) for p in pairs],
-                },
-                f"vertices={d.n} edges={edges}",
-            )
+        _emit(
+            args,
+            out,
+            {"digraph": digraph_payload(d), "pairs": [list(p) for p in pairs]},
+            f"vertices={d.n} edges={edges}",
         )
         return 0
     g = _load(args.source, digraph_from_payload)
@@ -376,11 +354,6 @@ GENERATORS = {
     "biclique": ("bidirected_clique", False, digraph_payload),
 }
 
-# The instances of all kinds but antichain, cycle and boolean (which
-# guards itself) grow with n squared: at n = 2000 one takes seconds and
-# a few hundred MB. gen refuses n above this for them.
-MAX_GEN_N = 1000
-
 
 def _cmd_gen(args, out) -> int:
     n = args.n
@@ -391,12 +364,11 @@ def _cmd_gen(args, out) -> int:
     # nan compares false with everything, so it fails this test too
     if not 0 <= args.p <= 1:
         raise UsageError(f"--p must be a number in [0, 1], got {args.p}")
-    if n > MAX_GEN_N and args.kind not in ("antichain", "cycle", "boolean"):
-        raise TooLarge(
-            f"gen {args.kind} is guarded to n <= {MAX_GEN_N}, got {n}"
-        )
     from . import generate
 
+    guard = generate.MAX_GEN_N
+    if n > guard and args.kind not in ("antichain", "cycle", "boolean"):
+        raise TooLarge(f"gen {args.kind} is guarded to n <= {guard}, got {n}")
     name, seeded, payload = GENERATORS[args.kind]
     make = getattr(generate, name)
     try:
@@ -404,7 +376,7 @@ def _cmd_gen(args, out) -> int:
     except IndexOutOfRange as exc:
         # crown and cycle have a least size of their own
         raise UsageError(str(exc))
-    _without_gc(lambda: out.write(dumps(payload(instance))))
+    out.write(dumps(payload(instance)))
     return 0
 
 
@@ -686,6 +658,11 @@ def run(argv) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     out = sys.stdout if args.out is None else _OpenOnWrite(args.out)
+    # a payload is many small lists and no reference cycle, so a
+    # collection while one is built and written frees nothing; such
+    # collections took most of the time of listing it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.handler(args, out)
         out.flush()
@@ -713,6 +690,8 @@ def run(argv) -> int:
         print(f"property violated: {exc}", file=sys.stderr)
         return 1
     finally:
+        if collecting:
+            gc.enable()
         if out is not sys.stdout:
             out.close()
 

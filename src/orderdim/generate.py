@@ -13,10 +13,23 @@ from .relations import (
 )
 from .rng import SplitMix64
 
+# The instances of all kinds but antichain, cycle and boolean (which
+# guards itself) grow with n squared: at n = 2000 one takes seconds and
+# a few hundred MB, so gen and the random kinds refuse n above this.
+MAX_GEN_N = 1000
+
+
+def _hits(n: int, count: int, p: float, seed: int) -> int:
+    """SplitMix64(seed).hits(count, p) for an instance on n points,
+    refused above MAX_GEN_N before any of its byte-a-draw chances."""
+    if n > MAX_GEN_N:
+        raise TooLarge(f"random instances are guarded to n <= {MAX_GEN_N}, got {n}")
+    return SplitMix64(seed).hits(count, p)
+
 
 def random_order(n: int, p: float, seed: int) -> QuasiOrder:
     """Reflexive-transitive closure of a random DAG with edge chance p."""
-    up = _upper_rows(n, SplitMix64(seed).hits(n * (n - 1) // 2, p))
+    up = _upper_rows(n, _hits(n, n * (n - 1) // 2, p, seed))
     # edges only climb, so the rows above i are closed by the time i is
     for i in reversed(range(n)):
         row = 1 << i
@@ -31,19 +44,19 @@ def random_order(n: int, p: float, seed: int) -> QuasiOrder:
 
 def random_quasi(n: int, p: float, seed: int) -> QuasiOrder:
     """Closure of an arbitrary random relation; classes can be nontrivial."""
-    rows = _off_diagonal_rows(n, SplitMix64(seed).hits(n * (n - 1), p))
+    rows = _off_diagonal_rows(n, _hits(n, n * (n - 1), p, seed))
     for i in range(n):
         rows[i] |= 1 << i
     return QuasiOrder(n, tuple(close_rows(rows, n)))
 
 
 def random_digraph(n: int, p: float, seed: int) -> Digraph:
-    rows = _off_diagonal_rows(n, SplitMix64(seed).hits(n * (n - 1), p))
+    rows = _off_diagonal_rows(n, _hits(n, n * (n - 1), p, seed))
     return Digraph(n, tuple(rows))
 
 
 def random_symmetric(n: int, p: float, seed: int) -> Digraph:
-    up = _upper_rows(n, SplitMix64(seed).hits(n * (n - 1) // 2, p))
+    up = _upper_rows(n, _hits(n, n * (n - 1) // 2, p, seed))
     down = transpose_rows(up, n)
     return Digraph(n, tuple(u | d for u, d in zip(up, down)))
 

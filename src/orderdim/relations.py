@@ -41,16 +41,11 @@ def transpose_rows(rows: tuple[int, ...] | list[int], n: int) -> list[int]:
         tiles = (-(-n // 256)) ** 2
         if sum(map(int.bit_count, rows)) > _TILE_BITS * tiles:
             return _transpose_tiled(rows, n)
-    # the highest bit first: bit_length reads it without touching the
-    # other words of a wide row
     cols = [0] * n
     for i, row in enumerate(rows):
         bit = 1 << i
-        r = row
-        while r:
-            j = r.bit_length() - 1
+        for j in bits_of(row):
             cols[j] |= bit
-            r ^= 1 << j
     return cols
 
 
@@ -200,9 +195,12 @@ _BITS2 = _LazyByteBits(16)
 
 def bits_of(mask: int):
     """Set bit positions of mask >= 0 in ascending order, to iterate once.
+    Every full walk over the set bits of a mask goes through here.
 
-    Masks below 2^24 read a tuple from per-byte tables; wider ones are
-    walked one bit at a time.
+    Masks below 2^24 read a tuple from per-byte tables. Wider ones are
+    walked highest bit first into a list, reversed at the end:
+    bit_length finds the top bit without touching the other words, so a
+    bit costs two big-int steps, not the three of taking the lowest.
     """
     if mask < 0x100:
         return _BITS0[mask]
@@ -215,11 +213,14 @@ def bits_of(mask: int):
     return _walk_bits(mask)
 
 
-def _walk_bits(mask: int):
+def _walk_bits(mask: int) -> list[int]:
+    bits = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        j = mask.bit_length() - 1
+        bits.append(j)
+        mask ^= 1 << j
+    bits.reverse()
+    return bits
 
 
 def _check_rows_shape(n: int, rows: tuple[int, ...]) -> None:
@@ -462,25 +463,17 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
     every class peeled after it, so each member's row is the mask of the
     elements left when its class is peeled: nested suffix masks,
     reflexive and transitive as built. None when the peel stalls, which
-    happens exactly when the pairs close a cycle of q-classes.
+    happens exactly when the pairs close a cycle of q-classes. Pairs and
+    class members are read through bits_of, a one-element class as any
+    other.
     """
     same, below, _ = frame
     if pair_rows:
         below = list(below)
         for a, row in enumerate(pair_rows):
-            if not row:
-                continue
-            bit = 1 << a
-            while row:
-                low = row & -row
-                b = low.bit_length() - 1
-                members = same[b]
-                if members == low:
-                    below[b] |= bit
-                else:
-                    for x in bits_of(members):
-                        below[x] |= bit
-                row ^= low
+            for b in bits_of(row):
+                for x in bits_of(same[b]):
+                    below[x] |= 1 << a
     rows = [0] * q.n
     pending = list(range(q.n))
     remaining = (1 << q.n) - 1
@@ -491,13 +484,9 @@ def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
         else:
             return None
         members = same[x]
-        if members & (members - 1):
-            for y in bits_of(members):
-                rows[y] = remaining
-                pending.remove(y)
-        else:
-            rows[x] = remaining
-            pending.remove(x)
+        for y in bits_of(members):
+            rows[y] = remaining
+            pending.remove(y)
         remaining ^= members
     return trusted(QuasiOrder, q.n, tuple(rows))
 

@@ -17,7 +17,7 @@ from typing import Any
 from .digraphs import Digraph, HomWitness
 from .errors import IndexOutOfRange, OrderdimError
 from .reduction import AcyclicCover, ExtensionFamily
-from .relations import QuasiOrder, close_rows
+from .relations import QuasiOrder, bits_of, close_rows
 
 
 # Largest element or vertex count an instance may declare. It admits
@@ -37,14 +37,9 @@ def dumps(obj: Any) -> str:
 
 def _off_diagonal_pairs(rows) -> list[list[int]]:
     """[i, j] for each bit j != i of each rows[i], in lexicographic order."""
-    out = []
-    for i, row in enumerate(rows):
-        row &= ~(1 << i)
-        while row:
-            low = row & -row
-            out.append([i, low.bit_length() - 1])
-            row ^= low
-    return out
+    return [
+        [i, j] for i, row in enumerate(rows) for j in bits_of(row & ~(1 << i))
+    ]
 
 
 def order_payload(q: QuasiOrder) -> dict:

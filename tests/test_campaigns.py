@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import gc
 import json
 import time
 from pathlib import Path
@@ -78,6 +79,44 @@ def test_enumeration_guard_fires_at_the_first_certificate(name):
     with pytest.raises(TooLarge):
         next(iter(certs))
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dim-agreement", "graph-collapse", "cyclefree-extends", "xinapg",
+     "hom-transfer"],
+)
+def test_random_campaigns_refuse_wide_sizes_before_drawing(name):
+    # a size drawn from 1..100000 passes the instance guard; drawing its
+    # n² chances first would take minutes and gigabytes
+    certs = run_campaign(name, n=100000)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        next(iter(certs))
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize(
+    "name", ["dim-landmarks", "dicr-landmarks", "minimal-hom"]
+)
+def test_unsized_campaigns_reject_n(name):
+    assert CAMPAIGNS[name][1] is None
+    with pytest.raises(OrderdimError, match="takes no n"):
+        run_campaign(name, n=3)
+
+
+def test_campaigns_leave_no_reference_cycles():
+    # the CLI runs every command with the collector paused, so a cycle
+    # made per certificate would pile up over a long campaign
+    gc.collect()
+    gc.disable()
+    try:
+        for name, kwargs in SMALL.items():
+            for cert in run_campaign(name, **kwargs):
+                cert.to_payload()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_registry_and_unknown_names():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -384,8 +385,34 @@ def test_gen_size_guard_exits_three(capsys):
     assert code == 3 and out == "" and err.startswith("too large: ")
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_restores_it(
+    capsys, c3, monkeypatch, enabled
+):
+    import orderdim.cli as cli
+
+    paused = []
+    dumps = cli.dumps
+    monkeypatch.setattr(
+        cli, "dumps", lambda obj: paused.append(not gc.isenabled()) or dumps(obj)
+    )
+    cases = [
+        (["dicr", c3], 0),
+        (["dicr", c3 + ".missing"], 2),
+        (["dicr", c3, "--budget", "1"], 3),
+    ]
+    try:
+        for argv, want in cases:
+            gc.enable() if enabled else gc.disable()
+            code, _, _ = invoke(capsys, *argv)
+            assert code == want and gc.isenabled() is enabled, argv
+    finally:
+        gc.enable()
+    assert paused == [True]
+
+
 def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
-    from orderdim.cli import MAX_GEN_N
+    from orderdim.generate import MAX_GEN_N
 
     t0 = time.perf_counter()
     code, out, err = invoke(capsys, "gen", "chain", "--n", "16384")
@@ -707,7 +734,15 @@ def test_verify_budget_stops_or_keeps_the_default_bytes(name, budget):
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
 def test_verify_n_below_the_least_size_is_usage_error(capsys, name):
-    least = CAMPAIGNS[name][2]
+    _, default, least = CAMPAIGNS[name]
+    if default is None:
+        # a campaign without a size bound reads no n, so it refuses any
+        for n in (-1, least):
+            code, out, err = invoke(capsys, "verify", name, "--n", str(n))
+            assert code == 2 and out == "" and "takes no n" in err
+        code, out, _ = invoke(capsys, "verify", name)
+        assert code == 0 and out
+        return
     for n in sorted({-1, least - 1}):
         code, out, err = invoke(capsys, "verify", name, "--n", str(n))
         assert code == 2 and out == "" and f"needs n >= {least}" in err

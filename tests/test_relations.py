@@ -349,6 +349,13 @@ def _around(edge):
         _around(2**16),
         _around(2**24),
         st.integers(0, 2**300),
+        # sparse wide masks: the top bit far above the others
+        st.builds(lambda k: 1 << k | 1, st.integers(0, 4096)),
+        st.builds(
+            lambda k, j: 1 << k | 1 << j,
+            st.integers(0, 4096),
+            st.integers(0, 4096),
+        ),
     )
 )
 @settings(max_examples=300)
