@@ -25,6 +25,7 @@ from .records import Record, set_slot, trusted
 from .relations import (
     QuasiOrder,
     StrictOrder,
+    _extends,
     _peel,
     _peel_frame,
     bits_of,
@@ -141,16 +142,15 @@ def _critical_pair_frame(q: QuasiOrder):
     """critical_pair_digraph(q) and _peel_frame(q), which it reads.
     TooLarge as soon as the pairs counted pass MAX_PAIR_VERTICES, before
     any is listed."""
-    frame = same, down, up = _peel_frame(q)
+    frame = same, down, up, lead = _peel_frame(q)
     # below- and above-sets are unions of classes, so comparing them as
     # element masks compares the quotient's strict order
     leaders = 0
-    for x in range(q.n):
-        if same[x] & -same[x] == 1 << x:
-            leaders |= 1 << x
+    for x in lead:
+        leaders |= 1 << x
     seconds = [0] * q.n
     count = 0
-    for b in bits_of(leaders):
+    for b in lead:
         db, ub = down[b], up[b]
         ys = 0
         for a in bits_of(leaders & ~(db | ub | same[b])):
@@ -220,16 +220,31 @@ def _pair_cycle(base: QuasiOrder, pair_rows) -> CycleInX:
     return CycleInX(pairs[v] for v in cycle.verts)
 
 
-def _lift_pair_sets(base: QuasiOrder, frame, pair_sets):
-    """linear_extension(extend_by_pairs(base, pairs)) of each pair set, in
-    one peel each off frame, _peel_frame(base); BadPair or CycleInX as in
-    extend_by_pairs."""
+def _lift_masks(base: QuasiOrder, frame, pairs, masks):
+    """linear_extension(extend_by_pairs(base, [pairs[v] for v in
+    bits_of(mask)])) of each mask, one _peel each off frame,
+    _peel_frame(base); BadPair or CycleInX as in extend_by_pairs.
+
+    Each pair (a, b) of a mask gets extend_by_pairs' range and direction
+    checks and puts a into the below-set of the leader of b's class;
+    critical pairs join leaders already."""
+    n, leq = base.n, base.rows
+    same, down, _, _ = frame
     exts = []
-    for pairs in pair_sets:
-        pair_rows = _pair_rows(base, pairs)
-        ext = _peel(base, frame, pair_rows)
+    for mask in masks:
+        below = list(down)
+        for v in bits_of(mask):
+            a, b = pairs[v]
+            if not (0 <= a < n and 0 <= b < n):
+                raise IndexOutOfRange(f"pair ({a}, {b}) outside 0..{n - 1}")
+            if (leq[b] >> a) & 1:
+                raise BadPair(f"({a}, {b}) is already decided downward")
+            s = same[b]
+            below[(s & -s).bit_length() - 1] |= 1 << a
+        ext = _peel(base, frame, below)
         if ext is None:
-            raise _pair_cycle(base, pair_rows)
+            offered = [pairs[v] for v in bits_of(mask)]
+            raise _pair_cycle(base, _pair_rows(base, offered))
         exts.append(ext)
     return tuple(exts)
 
@@ -315,8 +330,9 @@ class ExtensionFamily(Record):
 
     def __init__(self, base: QuasiOrder, exts: tuple[QuasiOrder, ...]):
         exts = tuple(exts)
+        classes = len(set(base.rows))
         for e in exts:
-            if not extends(base, e):
+            if not _extends(base, e, classes):
                 raise NotExtension("family member does not extend the base")
         missing = undecided_pair(base, exts)
         if missing is not None:

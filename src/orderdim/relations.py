@@ -430,63 +430,74 @@ def extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     distinct rows count the classes. Once ext contains base its classes
     are unions of base classes, equal to them iff the counts agree.
     """
+    return _extends(base, ext, len(set(base.rows)))
+
+
+def _extends(base: QuasiOrder, ext: QuasiOrder, classes: int) -> bool:
+    """extends(base, ext) given the class count of base, so a check of
+    several members counts the base once."""
     if base.n != ext.n:
         raise SizeMismatch(f"ground sets differ: {base.n} vs {ext.n}")
     for rb, re in zip(base.rows, ext.rows):
         if rb & ~re:
             return False
-    return len(set(base.rows)) == len(set(ext.rows))
+    return classes == len(set(ext.rows))
 
 
-def _peel_frame(q: QuasiOrder) -> tuple[list[int], list[int], list[int]]:
-    """Each element's q-class and the elements strictly below and strictly
-    above it in q, from one transpose. A peel reads the first two, so
-    peels over one base can share them."""
+def _peel_frame(
+    q: QuasiOrder,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Each element's q-class, the elements strictly below and strictly
+    above it in q, from one transpose, and the class leaders (each
+    class's least member) in ascending order. A peel reads the class,
+    the below-sets and the leaders, so peels over one base share them."""
     cols = transpose_rows(q.rows, q.n)
+    same = [r & c for r, c in zip(q.rows, cols)]
     return (
-        [r & c for r, c in zip(q.rows, cols)],
+        same,
         [c & ~r for r, c in zip(q.rows, cols)],
         [r & ~c for r, c in zip(q.rows, cols)],
+        [x for x, s in enumerate(same) if s & -s == 1 << x],
     )
 
 
-def _peel(q: QuasiOrder, frame, pair_rows) -> QuasiOrder | None:
+def _peel(q: QuasiOrder, frame, below) -> QuasiOrder | None:
     """The deterministic linear extension of q closed over extra pairs.
 
-    frame is _peel_frame(q); bit b of pair_rows[a] asks for a below b.
-    Kahn peel on elements: an element is ready once nothing below it is
-    left, where below means strictly below in q or the source of a pair
-    into its q-class; the closure is never built. A class is ready with
-    all of its members, so the lowest ready element is the least member
-    of the class with the least such member, the tie-break; a scan of
-    the pending ids, ascending, finds it. A class lies below itself and
-    every class peeled after it, so each member's row is the mask of the
-    elements left when its class is peeled: nested suffix masks,
-    reflexive and transitive as built. None when the peel stalls, which
-    happens exactly when the pairs close a cycle of q-classes. Pairs and
-    class members are read through bits_of, a one-element class as any
-    other.
+    frame is _peel_frame(q). A class is ready once no element of
+    below[leader] is left, where leader is the class's least member and
+    below[leader] holds the elements strictly below the class in q and
+    the lower end of every extra pair into it; frame's own below-sets
+    give linear_extension(q). Only the leaders' rows are read, and the
+    closure is never built. Kahn peel on the leaders: a scan of the
+    pending leaders, ascending, finds the ready class with the least
+    member, the tie-break, and drops it from the list. A class lies
+    below itself and every class peeled after it, so each member's row
+    is the mask of the elements left when its class is peeled: nested
+    suffix masks, reflexive and transitive as built. A one-element class
+    writes its leader's row, a larger one every member of same[leader].
+    None when the peel stalls, which happens exactly when the pairs
+    close a cycle of q-classes.
     """
-    same, below, _ = frame
-    if pair_rows:
-        below = list(below)
-        for a, row in enumerate(pair_rows):
-            for b in bits_of(row):
-                for x in bits_of(same[b]):
-                    below[x] |= 1 << a
+    same, _, _, leaders = frame
     rows = [0] * q.n
-    pending = list(range(q.n))
+    pending = list(leaders)
     remaining = (1 << q.n) - 1
     while pending:
+        i = 0
         for x in pending:
             if not below[x] & remaining:
                 break
+            i += 1
         else:
             return None
+        del pending[i]
         members = same[x]
-        for y in bits_of(members):
-            rows[y] = remaining
-            pending.remove(y)
+        if members == 1 << x:
+            rows[x] = remaining
+        else:
+            for y in bits_of(members):
+                rows[y] = remaining
         remaining ^= members
     return trusted(QuasiOrder, q.n, tuple(rows))
 
@@ -497,7 +508,8 @@ def linear_extension(q: QuasiOrder) -> QuasiOrder:
     Topological order of the mutual-relation classes, ties broken by
     least member id, lifted back to the ground set.
     """
-    return _peel(q, _peel_frame(q), None)
+    frame = _peel_frame(q)
+    return _peel(q, frame, frame[1])
 
 
 def down_set_sizes(q: QuasiOrder) -> tuple[int, ...]:

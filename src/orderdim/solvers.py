@@ -21,7 +21,7 @@ from .reduction import (
     ExtensionFamily,
     _check_class_masks,
     _critical_pair_frame,
-    _lift_pair_sets,
+    _lift_masks,
 )
 from .relations import QuasiOrder, _peel, bits_of, transpose_rows
 
@@ -286,9 +286,7 @@ def order_dimension(
     if cp.n == 0:
         if len(set(q.rows)) <= 1:  # distinct rows are the classes
             return DimResult(0, ExtensionFamily(q, ()))
-        return DimResult(1, ExtensionFamily(q, (_peel(q, frame, None),)))
+        return DimResult(1, ExtensionFamily(q, (_peel(q, frame, frame[1]),)))
     k, masks = _least_cover(cp, budget)
-    exts = _lift_pair_sets(
-        q, frame, [[pairs[v] for v in bits_of(m)] for m in masks]
-    )
+    exts = _lift_masks(q, frame, pairs, masks)
     return DimResult(k, ExtensionFamily(q, exts))

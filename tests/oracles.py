@@ -282,6 +282,34 @@ def loop_lift(base: QuasiOrder, pairs) -> QuasiOrder:
     return linear_extension(extend_by_pairs(base, pairs))
 
 
+def member_peel(q: QuasiOrder, pair_rows) -> QuasiOrder | None:
+    """The per-member Kahn peel the leader peel replaced: bit b of
+    pair_rows[a] puts a below every member of b's class, and the lowest
+    ready element is taken with its whole class, each member's row the
+    mask of the elements left. None when the peel stalls."""
+    cols = columns(q.rows, q.n)
+    same = [r & c for r, c in zip(q.rows, cols)]
+    below = [c & ~r for r, c in zip(q.rows, cols)]
+    for a, row in enumerate(pair_rows):
+        for b in members(row):
+            for x in members(same[b]):
+                below[x] |= 1 << a
+    rows = [0] * q.n
+    pending = list(range(q.n))
+    remaining = (1 << q.n) - 1
+    while pending:
+        for x in pending:
+            if not below[x] & remaining:
+                break
+        else:
+            return None
+        for y in members(same[x]):
+            rows[y] = remaining
+            pending.remove(y)
+        remaining ^= same[x]
+    return QuasiOrder(q.n, tuple(rows))
+
+
 def loop_extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     """The two-transpose extends that the class count replaced."""
     if base.n != ext.n:

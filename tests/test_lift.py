@@ -1,5 +1,6 @@
-"""The one-peel lift and the transpose-free family checks against the
-closure-and-transpose versions they replaced."""
+"""The mask lift, the leader peel and the transpose-free family checks
+against the closure, per-member peel and transpose versions they
+replaced."""
 
 from __future__ import annotations
 
@@ -23,11 +24,17 @@ from orderdim import (
     random_quasi,
     undecided_pair,
 )
-from orderdim.reduction import _lift_pair_sets
-from orderdim.relations import _peel_frame
+from orderdim.reduction import _lift_masks
+from orderdim.relations import _peel, _peel_frame
 from orderdim.rng import SplitMix64
 
-from .oracles import loop_extends, loop_lift, loop_undecided_pair
+from .oracles import (
+    loop_extends,
+    loop_lift,
+    loop_undecided_pair,
+    member_peel,
+    members,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -41,7 +48,13 @@ def classed_quasi(n, p, seed):
 
 
 def lift_pair_sets(base, pair_sets):
-    return _lift_pair_sets(base, _peel_frame(base), pair_sets)
+    # the sets, listed one after another, go in as one pair tuple with
+    # one mask per set over its block, so all of them share one frame
+    pairs, masks = [], []
+    for offered in pair_sets:
+        masks.append(((1 << len(offered)) - 1) << len(pairs))
+        pairs += offered
+    return _lift_masks(base, _peel_frame(base), tuple(pairs), masks)
 
 
 def lift_pairs(base, pairs):
@@ -105,6 +118,26 @@ def test_pair_sets_sharing_one_base_lift_like_separate_lifts(n, p, seed):
     assert lift_pair_sets(q, sets[:ok]) == tuple(want[:ok])
     if ok < len(want):
         assert lift_or_cycle(lift_pair_sets, q, sets) == want[ok]
+
+
+@given(st.integers(3, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_leader_peel_matches_per_member_peel(n, p, seed):
+    # random pair sets, cyclic ones included, each pair placed only at
+    # the leader of its upper end's class: the same extension, or both
+    # stall
+    q = classed_quasi(n, p, seed)
+    frame = same, down, _, _ = _peel_frame(q)
+    _, pairs = pair_digraph(q)
+    rng = SplitMix64(seed)
+    for density in (0.1, 0.3, 0.6):
+        pair_rows = [0] * n
+        below = list(down)
+        for a, b in pairs:
+            if rng.chance(density):
+                pair_rows[a] |= 1 << b
+                below[members(same[b])[0]] |= 1 << a
+        assert _peel(q, frame, below) == member_peel(q, pair_rows)
 
 
 def test_cyclic_pair_set_through_a_class_raises_cycle():

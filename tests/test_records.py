@@ -229,6 +229,15 @@ INVALID = [
      NotExtension),
     (ExtensionFamily, (antichain_order(2), (QuasiOrder(2, (3, 2)),)),
      IncompleteFamily),
+    # members are checked in turn, size first
+    (ExtensionFamily, (antichain_order(2), (QuasiOrder(1, (1,)),)),
+     SizeMismatch),
+    (ExtensionFamily,
+     (antichain_order(2), (QuasiOrder(2, (3, 3)), QuasiOrder(1, (1,)))),
+     NotExtension),
+    (ExtensionFamily,
+     (antichain_order(2), (QuasiOrder(1, (1,)), QuasiOrder(2, (3, 3)))),
+     SizeMismatch),
 ]
 
 
