@@ -10,6 +10,8 @@ full cover corresponds to a family of extensions that decides everything.
 
 from __future__ import annotations
 
+from operator import and_, inv, or_
+
 from .digraphs import Digraph, _cycle_in
 from .errors import (
     BadPair,
@@ -152,9 +154,19 @@ def _critical_pair_frame(q: QuasiOrder):
     count = 0
     for b in lead:
         db, ub = down[b], up[b]
+        # everything strictly above b is above a iff a lies strictly below
+        # each leader above b; once a leader z is used, the elements above
+        # z add nothing, as a < z < w gives a < w
+        cand = leaders & ~(db | ub | same[b])
+        above = ub & leaders
+        while above and cand:
+            low = above & -above
+            z = low.bit_length() - 1
+            cand &= down[z]
+            above &= ~(up[z] | low)
         ys = 0
-        for a in bits_of(leaders & ~(db | ub | same[b])):
-            if down[a] & ~db == 0 and ub & ~up[a] == 0:
+        for a in bits_of(cand):
+            if down[a] & ~db == 0:
                 ys |= 1 << a
         seconds[b] = ys
         count += ys.bit_count()
@@ -313,9 +325,13 @@ def undecided_pair(base: QuasiOrder, exts) -> tuple[int, int] | None:
     for e in exts:
         if e.n != n:
             raise SizeMismatch(f"ground sets differ: {n} vs {e.n}")
-        union = [u | r for u, r in zip(union, e.rows)]
+        union = list(map(or_, union, e.rows))
     full = (1 << n) - 1
-    unplaced = transpose_rows([full & ~u for u in union], n)
+    unplaced = transpose_rows(list(map(full.__xor__, union)), n)
+    # a complete family leaves no open pair: a C-level pass says so
+    # before the scan for the first one
+    if not any(map(and_, unplaced, map(inv, base.rows))):
+        return None
     for x, (row, free) in enumerate(zip(base.rows, unplaced)):
         open_bits = free & ~row
         if open_bits:

@@ -6,6 +6,8 @@ set means i is related to j. All values are immutable and pure to share.
 
 from __future__ import annotations
 
+from operator import and_, inv, xor
+
 from .errors import (
     IndexOutOfRange,
     NotQuasiOrder,
@@ -438,9 +440,8 @@ def _extends(base: QuasiOrder, ext: QuasiOrder, classes: int) -> bool:
     several members counts the base once."""
     if base.n != ext.n:
         raise SizeMismatch(f"ground sets differ: {base.n} vs {ext.n}")
-    for rb, re in zip(base.rows, ext.rows):
-        if rb & ~re:
-            return False
+    if any(map(and_, base.rows, map(inv, ext.rows))):
+        return False
     return classes == len(set(ext.rows))
 
 
@@ -451,12 +452,14 @@ def _peel_frame(
     above it in q, from one transpose, and the class leaders (each
     class's least member) in ascending order. A peel reads the class,
     the below-sets and the leaders, so peels over one base share them."""
-    cols = transpose_rows(q.rows, q.n)
-    same = [r & c for r, c in zip(q.rows, cols)]
+    rows = q.rows
+    cols = transpose_rows(rows, q.n)
+    same = list(map(and_, rows, cols))
+    # the class r & c lies in both, so c ^ same is c & ~r, r ^ same r & ~c
     return (
         same,
-        [c & ~r for r, c in zip(q.rows, cols)],
-        [r & ~c for r, c in zip(q.rows, cols)],
+        list(map(xor, cols, same)),
+        list(map(xor, rows, same)),
         [x for x, s in enumerate(same) if s & -s == 1 << x],
     )
 

@@ -13,6 +13,8 @@ guessing.
 
 from __future__ import annotations
 
+from operator import add, and_
+
 from .digraphs import Digraph, _strong_components
 from .errors import LimitExceeded, NotAGraph
 from .records import Record, set_slot, trusted
@@ -51,73 +53,77 @@ class DimResult(Record):
         set_slot(self, "witness", witness)
 
 
-def _mutual_rows(rows, cols, verts) -> dict[int, int]:
-    """Mutual (2-cycle) neighbours of each vertex inside verts."""
-    comp_mask = sum(1 << v for v in verts)
-    return {v: rows[v] & cols[v] & comp_mask for v in verts}
-
-
-def _greedy_mutual_clique(mut: dict[int, int]) -> list[int]:
-    """A clique of pairwise mutual edges; its size lower-bounds the answer.
+def _greedy_mutual_clique(mutual, mask: int) -> list[int]:
+    """A clique of pairwise mutual edges inside mask; its size
+    lower-bounds the answer. mutual[v] holds v's 2-cycle neighbours.
 
     Greedy: repeatedly take the candidate with the most mutual neighbours
     among the remaining candidates (ties to the least id).
     """
     clique: list[int] = []
-    cand = sum(1 << v for v in mut)
+    cand = mask
     while cand:
         v = -1
         best = -1
         for u in bits_of(cand):
-            count = (mut[u] & cand).bit_count()
+            count = (mutual[u] & cand).bit_count()
             if count > best:
                 v, best = u, count
         clique.append(v)
-        cand &= mut[v]
+        cand &= mutual[v]
     return clique
 
 
-def _has_odd_mutual_cycle(mut: dict[int, int]) -> bool:
-    """True when the mutual edges hold an odd cycle, so 2 classes fail.
+def _has_odd_mutual_cycle(mutual, mask: int) -> bool:
+    """True when the mutual edges inside mask hold an odd cycle, so 2
+    classes fail there. mutual[v] holds v's 2-cycle neighbours.
 
     The two ends of a 2-cycle need different acyclic classes, so two
     classes would 2-colour the mutual-edge graph. Breadth-first layers
     from the least unseen vertex: the graph is bipartite iff no mutual
     edge joins two vertices of one layer.
     """
-    left = sum(1 << v for v in mut)
+    left = mask
     while left:
         layer = left & -left
         left ^= layer
         while layer:
             nxt = 0
             for v in bits_of(layer):
-                if mut[v] & layer:
+                if mutual[v] & layer:
                     return True
-                nxt |= mut[v]
+                nxt |= mutual[v]
             layer = nxt & left
             left ^= layer
     return False
 
 
 def _cover_scc(
-    rows, cols, verts: tuple[int, ...], budget: int, counter: list[int]
+    rows,
+    cols,
+    verts: tuple[int, ...],
+    degree,
+    mutual,
+    budget: int,
+    counter: list[int],
 ) -> tuple[int, list[int]]:
     """Exact minimum acyclic vertex cover of one strong component, as
-    the member masks of its classes; verts ascending.
+    the member masks of its classes; verts ascending. degree[v] and
+    mutual[v] are v's in- plus out-degree and 2-cycle neighbours in the
+    whole digraph, built once for all its components.
 
     Tries k upward from a lower bound: the greedy mutual clique, at least
     2 (a strong component with two vertices holds a cycle), and 3 when
-    the mutual edges hold an odd cycle.
+    the mutual edges hold an odd cycle. A 2-cycle never leaves a strong
+    component, so the component's mask only seeds the bound's search.
     """
     # descending degree, ties by id: the sort keeps the ascending order
     # of equal keys even when reversed
-    degree = {v: rows[v].bit_count() + cols[v].bit_count() for v in verts}
     order = sorted(verts, key=degree.__getitem__, reverse=True)
     m = len(order)
-    mut = _mutual_rows(rows, cols, verts)
-    lower = max(2, len(_greedy_mutual_clique(mut)))
-    if lower == 2 and _has_odd_mutual_cycle(mut):
+    mask = sum(map((1).__lshift__, verts))
+    lower = max(2, len(_greedy_mutual_clique(mutual, mask)))
+    if lower == 2 and _has_odd_mutual_cycle(mutual, mask):
         lower = 3
     for k in range(lower, m + 1):
         masks = _assign_classes(rows, cols, order, k, budget, counter)
@@ -217,15 +223,24 @@ def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
     """
     if d.n == 0:
         return 0, []
-    cols = transpose_rows(d.rows, d.n)
+    rows = d.rows
+    cols = transpose_rows(rows, d.n)
+    # the bound and branching order read these for every component, so
+    # they are built once per digraph, not once per component
+    degree = list(
+        map(add, map(int.bit_count, rows), map(int.bit_count, cols))
+    )
+    mutual = list(map(and_, rows, cols))
     counter = [0]
     k_total = 1
     merged = [0]
-    for comp in _strong_components(d.rows, cols):
+    for comp in _strong_components(rows, cols):
         if len(comp) == 1:
             merged[0] |= 1 << comp[0]
             continue
-        k_c, masks = _cover_scc(d.rows, cols, comp, budget, counter)
+        k_c, masks = _cover_scc(
+            rows, cols, comp, degree, mutual, budget, counter
+        )
         if k_c > k_total:
             merged += [0] * (k_c - k_total)
             k_total = k_c

@@ -325,6 +325,50 @@ def loop_extends(base: QuasiOrder, ext: QuasiOrder) -> bool:
     return True
 
 
+def dict_mutual_rows(rows, cols, verts) -> dict[int, int]:
+    """The per-component dict of mutual (2-cycle) neighbours inside verts
+    that the solver's clique and odd-cycle bounds read before they took
+    one per-digraph list and the component's mask."""
+    comp_mask = sum(1 << v for v in verts)
+    return {v: rows[v] & cols[v] & comp_mask for v in verts}
+
+
+def dict_greedy_mutual_clique(mut: dict[int, int]) -> list[int]:
+    """The greedy mutual clique on a dict_mutual_rows dict: the candidate
+    with the most mutual neighbours among the candidates left, ties to
+    the least id."""
+    clique: list[int] = []
+    cand = sum(1 << v for v in mut)
+    while cand:
+        v = -1
+        best = -1
+        for u in members(cand):
+            count = (mut[u] & cand).bit_count()
+            if count > best:
+                v, best = u, count
+        clique.append(v)
+        cand &= mut[v]
+    return clique
+
+
+def dict_has_odd_mutual_cycle(mut: dict[int, int]) -> bool:
+    """The breadth-first odd-cycle test on a dict_mutual_rows dict: the
+    mutual edges are bipartite iff none joins two vertices of a layer."""
+    left = sum(1 << v for v in mut)
+    while left:
+        layer = left & -left
+        left ^= layer
+        while layer:
+            nxt = 0
+            for v in members(layer):
+                if mut[v] & layer:
+                    return True
+                nxt |= mut[v]
+            layer = nxt & left
+            left ^= layer
+    return False
+
+
 def dfs_cycle_in(rows, mask: int) -> Cycle | None:
     """The depth-first search that digraphs._cycle_in ran on every mask
     before it peeled sinks: starts and neighbours ascending, the first

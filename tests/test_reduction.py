@@ -175,7 +175,7 @@ def test_critical_pairs_of_a_crown_are_its_matched_pairs():
 
 
 @given(
-    st.integers(0, 8),
+    st.integers(0, 16),
     st.sampled_from([0.1, 0.2, 0.3, 0.5]),
     st.integers(0, 2**32 - 1),
 )

@@ -391,11 +391,15 @@ def search_nodes(d, budget):
     Runs the per-component search the way dichromatic_number does, with
     one counter shared by every strong component."""
     cols = transpose_rows(d.rows, d.n)
+    degree = [r.bit_count() + c.bit_count() for r, c in zip(d.rows, cols)]
+    mutual = [r & c for r, c in zip(d.rows, cols)]
     counter = [0]
     try:
         for comp in scc_decompose(d):
             if len(comp) > 1:
-                _cover_scc(d.rows, cols, comp, budget, counter)
+                _cover_scc(
+                    d.rows, cols, comp, degree, mutual, budget, counter
+                )
     except LimitExceeded:
         assert counter[0] == budget + 1
     return counter[0]

@@ -35,11 +35,20 @@ from orderdim import (
     realizer_oracle,
 )
 from orderdim import solvers
+from orderdim.digraphs import scc_decompose
 from orderdim.relations import transpose_rows
 from orderdim.rng import SplitMix64
-from orderdim.solvers import _has_odd_mutual_cycle, _mutual_rows
+from orderdim.solvers import _greedy_mutual_clique, _has_odd_mutual_cycle
 
-from .oracles import brute_chrom, brute_dicr, members, subset_is_acyclic
+from .oracles import (
+    brute_chrom,
+    brute_dicr,
+    dict_greedy_mutual_clique,
+    dict_has_odd_mutual_cycle,
+    dict_mutual_rows,
+    members,
+    subset_is_acyclic,
+)
 
 
 def digraphs(max_n: int = 5):
@@ -133,10 +142,54 @@ def test_dicr_matches_brute_force_on_overlapping_long_cycles(d):
         assert subset_is_acyclic(d, cls)
 
 
+def mutual_lists(d: Digraph) -> list[int]:
+    """Each vertex's 2-cycle neighbours, as _least_cover builds them."""
+    cols = transpose_rows(d.rows, d.n)
+    return [r & c for r, c in zip(d.rows, cols)]
+
+
 def odd_mutual_cycle(d: Digraph) -> bool:
-    return _has_odd_mutual_cycle(
-        _mutual_rows(d.rows, transpose_rows(d.rows, d.n), range(d.n))
+    return _has_odd_mutual_cycle(mutual_lists(d), (1 << d.n) - 1)
+
+
+@st.composite
+def block_digraphs(draw, max_blocks: int = 4, max_size: int = 5):
+    """Random blocks joined only by edges from a block to a later one, so
+    each block's strong components are the digraph's and most draws
+    have several."""
+    sizes = draw(
+        st.lists(st.integers(1, max_size), min_size=1, max_size=max_blocks)
     )
+    n = sum(sizes)
+    rows = []
+    start = 0
+    for size in sizes:
+        end = start + size
+        later = ((1 << n) - 1) ^ ((1 << end) - 1)
+        for v in range(start, end):
+            inside = draw(st.integers(0, (1 << size) - 1)) << start
+            forward = draw(st.integers(0, (1 << n) - 1)) & later
+            rows.append((inside | forward) & ~(1 << v))
+        start = end
+    return Digraph(n, tuple(rows))
+
+
+@given(block_digraphs())
+@settings(max_examples=200, deadline=None)
+def test_mutual_bounds_on_a_component_mask_match_the_component_dicts(d):
+    # one list for the whole digraph, cut by each component's mask, gives
+    # the clique and the odd-cycle verdict of that component's own dict
+    cols = transpose_rows(d.rows, d.n)
+    mutual = mutual_lists(d)
+    for comp in scc_decompose(d):
+        mask = sum(1 << v for v in comp)
+        mut = dict_mutual_rows(d.rows, cols, comp)
+        assert _greedy_mutual_clique(mutual, mask) == (
+            dict_greedy_mutual_clique(mut)
+        )
+        assert _has_odd_mutual_cycle(mutual, mask) == (
+            dict_has_odd_mutual_cycle(mut)
+        )
 
 
 @given(digraphs(max_n=7))
@@ -263,7 +316,7 @@ def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
 def test_search_masks_are_checked_before_they_leave(monkeypatch):
     # order_dimension lifts the search's class masks with no cover record
     # between, so a class that holds a cycle must still be caught there
-    def one_class(rows, cols, verts, budget, counter):
+    def one_class(rows, cols, verts, degree, mutual, budget, counter):
         return 1, [sum(1 << v for v in verts)]
 
     monkeypatch.setattr(solvers, "_cover_scc", one_class)
