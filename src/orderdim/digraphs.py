@@ -115,8 +115,13 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
     both edges join them, and then the search returns (a, b). On more,
     sinks are peeled off first: a vertex with no edge to the rest lies on
     no cycle, so a peel that empties the mask settles it with no search.
-    Otherwise the search runs over the whole mask, so the witness does
-    not depend on the peel.
+    Each pass walks what is left in ascending order, and the peel stops
+    after a pass that removes less than a sixteenth of it, so all passes
+    together walk at most 16 times as many vertices as the mask holds (a
+    path i -> i+1 loses only its top vertex a pass); a class of at most
+    16 vertices stops only when a pass removes nothing. Otherwise
+    the search runs over the whole mask, so the witness does not depend
+    on the peel.
     """
     rest = mask & (mask - 1)
     if not rest & (rest - 1):
@@ -128,6 +133,7 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
             return Cycle((a, b))
         return None
     rest = mask
+    size = rest.bit_count()
     while True:
         left = rest
         for v in bits_of(rest):
@@ -135,9 +141,11 @@ def _cycle_in(rows, mask: int) -> Cycle | None:
                 left ^= 1 << v
         if not left:
             return None
-        if left == rest:
+        kept = left.bit_count()
+        if 16 * (size - kept) < size:
             break
         rest = left
+        size = kept
     done = 0
     left = mask
     while left:
@@ -224,15 +232,20 @@ def scc_decompose(d: Digraph) -> tuple[tuple[int, ...], ...]:
     Kosaraju on bitsets. The forward DFS keeps an unvisited mask and always
     steps to the lowest unvisited out-neighbour (rows[u] & unvisited), from
     the lowest unvisited root; the backward sweep takes vertices in reverse
-    finish order and collects each component through cols[u] & left, where
-    left holds the vertices not yet in a component.
+    finish order and collects each component in layers through the
+    cols[u] of the last layer's members, ANDed with left, the vertices not
+    yet in a component.
     """
-    return _strong_components(d.rows, transpose_rows(d.rows, d.n))
+    return tuple(
+        tuple(bits_of(comp))
+        for comp in _strong_components(d.rows, transpose_rows(d.rows, d.n))
+    )
 
 
-def _strong_components(rows, cols) -> tuple[tuple[int, ...], ...]:
-    """scc_decompose on rows and their transpose cols, which callers that
-    hold cols already pass in instead of transposing again."""
+def _strong_components(rows, cols) -> list[int]:
+    """The components of scc_decompose as member masks, in the same
+    order, from rows and their transpose cols, which callers that hold
+    cols already pass in instead of transposing again."""
     n = len(rows)
     unvisited = (1 << n) - 1
     finish: list[int] = []
@@ -240,31 +253,37 @@ def _strong_components(rows, cols) -> tuple[tuple[int, ...], ...]:
         s = (unvisited & -unvisited).bit_length() - 1
         unvisited ^= 1 << s
         path = [s]
-        while path:
-            nxt = rows[path[-1]] & unvisited
+        top = rows[s]
+        while True:
+            nxt = top & unvisited
             if nxt:
                 low = nxt & -nxt
                 unvisited ^= low
-                path.append(low.bit_length() - 1)
+                w = low.bit_length() - 1
+                path.append(w)
+                top = rows[w]
             else:
                 finish.append(path.pop())
+                if not path:
+                    break
+                top = rows[path[-1]]
     left = (1 << n) - 1
-    comps: list[tuple[int, ...]] = []
+    comps: list[int] = []
     for v in reversed(finish):
-        bit = 1 << v
-        if not left & bit:
+        members = 1 << v
+        if not left & members:
             continue
-        left ^= bit
-        members = bit
-        todo = [v]
-        while todo:
-            new = cols[todo.pop()] & left
-            if new:
-                left ^= new
-                members |= new
-                todo.extend(bits_of(new))
-        comps.append(tuple(bits_of(members)))
-    return tuple(comps)
+        front = cols[v] & left
+        left ^= members | front
+        while front:
+            members |= front
+            step = 0
+            for u in bits_of(front):
+                step |= cols[u]
+            front = step & left
+            left ^= front
+        comps.append(members)
+    return comps
 
 
 class HomWitness(Record):

@@ -193,16 +193,24 @@ class _LazyByteBits(dict):
 
 _BITS1 = _LazyByteBits(8)
 _BITS2 = _LazyByteBits(16)
+_BITS3 = _LazyByteBits(24)
+_BITS4 = _LazyByteBits(32)
+_BITS5 = _LazyByteBits(40)
+_BITS6 = _LazyByteBits(48)
+_BITS7 = _LazyByteBits(56)
 
 
 def bits_of(mask: int):
-    """Set bit positions of mask >= 0 in ascending order, to iterate once.
-    Every full walk over the set bits of a mask goes through here.
+    """Set bit positions of mask >= 0 in ascending order, as a tuple or a
+    list. Every full walk over the set bits of a mask goes through here.
 
-    Masks below 2^24 read a tuple from per-byte tables. Wider ones are
-    walked highest bit first into a list, reversed at the end:
-    bit_length finds the top bit without touching the other words, so a
-    bit costs two big-int steps, not the three of taking the lowest.
+    Masks below 2^64 join the tuples of their bytes from per-byte tables,
+    one table per byte position; below 2^24 the bytes are cut by shifts,
+    above it by one to_bytes of 4 or 8 bytes. From 2^64 up, masks are
+    walked highest bit first into a list, reversed at the end: bit_length
+    finds the top bit without touching the other words, so a bit costs
+    two big-int steps, not the three of taking the lowest, and a wide
+    sparse mask is never read byte by byte.
     """
     if mask < 0x100:
         return _BITS0[mask]
@@ -211,6 +219,15 @@ def bits_of(mask: int):
     if mask < 0x1000000:
         return (
             _BITS0[mask & 0xFF] + _BITS1[mask >> 8 & 0xFF] + _BITS2[mask >> 16]
+        )
+    if mask < 0x100000000:
+        b0, b1, b2, b3 = mask.to_bytes(4, "little")
+        return _BITS0[b0] + _BITS1[b1] + _BITS2[b2] + _BITS3[b3]
+    if mask < 0x10000000000000000:
+        b0, b1, b2, b3, b4, b5, b6, b7 = mask.to_bytes(8, "little")
+        return (
+            _BITS0[b0] + _BITS1[b1] + _BITS2[b2] + _BITS3[b3]
+            + _BITS4[b4] + _BITS5[b5] + _BITS6[b6] + _BITS7[b7]
         )
     return _walk_bits(mask)
 

@@ -101,14 +101,14 @@ def _has_odd_mutual_cycle(mutual, mask: int) -> bool:
 def _cover_scc(
     rows,
     cols,
-    verts: tuple[int, ...],
+    mask: int,
     degree,
     mutual,
     budget: int,
     counter: list[int],
 ) -> tuple[int, list[int]]:
-    """Exact minimum acyclic vertex cover of one strong component, as
-    the member masks of its classes; verts ascending. degree[v] and
+    """Exact minimum acyclic vertex cover of the strong component with
+    member mask mask, as the member masks of its classes. degree[v] and
     mutual[v] are v's in- plus out-degree and 2-cycle neighbours in the
     whole digraph, built once for all its components.
 
@@ -119,9 +119,8 @@ def _cover_scc(
     """
     # descending degree, ties by id: the sort keeps the ascending order
     # of equal keys even when reversed
-    order = sorted(verts, key=degree.__getitem__, reverse=True)
+    order = sorted(bits_of(mask), key=degree.__getitem__, reverse=True)
     m = len(order)
-    mask = sum(map((1).__lshift__, verts))
     lower = max(2, len(_greedy_mutual_clique(mutual, mask)))
     if lower == 2 and _has_odd_mutual_cycle(mutual, mask):
         lower = 3
@@ -142,8 +141,8 @@ def _assign_classes(
     is the earliest unassigned one), which breaks class symmetry, so depth
     i may try classes 0..limit[i] with limit[i] = min(classes used, k-1).
     An inner loop tries one depth's classes in turn, each try one node,
-    with the vertex's in-row and the limit held in locals; it places the
-    vertex in the first class that stays acyclic, or backtracks to the
+    with the vertex's in-row, out-row and limit held in locals; it places
+    the vertex in the first class that stays acyclic, or backtracks to the
     class after the one the previous depth's vertex holds.
 
     Each class c keeps only its member mask M_c. Placing v in c closes a
@@ -171,6 +170,7 @@ def _assign_classes(
     c = 0
     while True:
         in_row = ins[depth]
+        out_row = outs[depth]
         lim = limit[depth]
         while c <= lim:
             nodes += 1
@@ -181,7 +181,7 @@ def _assign_classes(
             into = in_row & members
             if not into:
                 break
-            seen = front = outs[depth] & members
+            seen = front = out_row & members
             while front and not front & into:
                 step = 0
                 while front:
@@ -217,9 +217,9 @@ def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
     """The least number of acyclic classes covering d and the member
     masks of such classes, checked by check_cover's test on the masks.
 
-    Strong components are solved separately (a cycle never leaves one) and
-    the per-component optima are overlaid; singleton components carry no
-    cycle and join the first class.
+    Strong components, as member masks, are solved separately (a cycle
+    never leaves one) and the per-component optima are overlaid; singleton
+    components carry no cycle and join the first class.
     """
     if d.n == 0:
         return 0, []
@@ -235,8 +235,8 @@ def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
     k_total = 1
     merged = [0]
     for comp in _strong_components(rows, cols):
-        if len(comp) == 1:
-            merged[0] |= 1 << comp[0]
+        if not comp & (comp - 1):
+            merged[0] |= comp
             continue
         k_c, masks = _cover_scc(
             rows, cols, comp, degree, mutual, budget, counter
@@ -257,13 +257,9 @@ def dichromatic_number(
     _check_budget(budget)
     k, masks = _least_cover(d, budget)
     # the classes are ascending bit walks of disjoint masks, so already in
-    # AcyclicCover's normal form; each goes through a list, since tuple()
-    # of the bit walk of a mask of 24 or more vertices grows by
-    # reallocation, which raised the peak RSS of a dim-search run by half
-    # a megabyte
-    cover = trusted(
-        AcyclicCover, tuple([tuple(list(bits_of(m))) for m in masks])
-    )
+    # AcyclicCover's normal form; bits_of returns a tuple or a list, whose
+    # length tuple() reads to size the result at once
+    cover = trusted(AcyclicCover, tuple([tuple(bits_of(m)) for m in masks]))
     return DicrResult(k, cover)
 
 

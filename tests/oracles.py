@@ -147,6 +147,45 @@ def brute_scc(d: Digraph) -> set[tuple[int, ...]]:
     }
 
 
+def tuple_strong_components(rows, cols) -> tuple[tuple[int, ...], ...]:
+    """The Kosaraju that digraphs._strong_components ran when it returned
+    sorted member tuples: forward DFS from the lowest unvisited root to
+    the lowest unvisited out-neighbour, then a stack-driven backward
+    sweep in reverse finish order, one vertex of the stack at a time."""
+    n = len(rows)
+    unvisited = (1 << n) - 1
+    finish: list[int] = []
+    while unvisited:
+        s = (unvisited & -unvisited).bit_length() - 1
+        unvisited ^= 1 << s
+        path = [s]
+        while path:
+            nxt = rows[path[-1]] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                path.append(low.bit_length() - 1)
+            else:
+                finish.append(path.pop())
+    left = (1 << n) - 1
+    comps: list[tuple[int, ...]] = []
+    for v in reversed(finish):
+        bit = 1 << v
+        if not left & bit:
+            continue
+        left ^= bit
+        found = bit
+        todo = [v]
+        while todo:
+            new = cols[todo.pop()] & left
+            if new:
+                left ^= new
+                found |= new
+                todo.extend(members(new))
+        comps.append(tuple(members(found)))
+    return tuple(comps)
+
+
 def brute_minimal_cycle_sets(d: Digraph) -> set[tuple[int, ...]]:
     """Vertex sets of induced directed cycles, canonically rotated."""
     out = set()

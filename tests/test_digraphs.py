@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,8 @@ from orderdim import (
     verify_homomorphism,
 )
 
-from orderdim.digraphs import _cycle_in
+from orderdim.digraphs import _cycle_in, _strong_components
+from orderdim.relations import bits_of, transpose_rows
 from orderdim.rng import SplitMix64
 
 from .oracles import (
@@ -43,6 +46,7 @@ from .oracles import (
     colour_dfs_is_acyclic,
     dfs_cycle_in,
     subset_is_acyclic,
+    tuple_strong_components,
 )
 
 
@@ -233,6 +237,71 @@ def sparse_digraphs(max_n: int = 12):
 @settings(max_examples=200)
 def test_scc_partition_and_edge_direction(d):
     _assert_scc_matches_oracle(d)
+
+
+@st.composite
+def component_digraphs(draw):
+    """Up to 100 vertices in shuffled blocks: one block of any size, the
+    rest of 1 to 4 vertices, each block closed by a cycle through it.
+    Edges within blocks and forward between them are drawn at one
+    density, a few backward ones at another, which may merge blocks."""
+    n = draw(st.integers(0, 100))
+    big = draw(st.integers(0, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    forward = draw(st.sampled_from([0.0, 0.02, 0.1, 0.3]))
+    backward = draw(st.sampled_from([0.0, 0.001, 0.01]))
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = [order[:big]] if big else []
+    start = big
+    while start < n:
+        size = rng.randint(1, 4)
+        blocks.append(order[start : start + size])
+        start += size
+    rows = [0] * n
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+        if len(block) > 1:
+            for a, b in zip(block, block[1:] + block[:1]):
+                rows[a] |= 1 << b
+    for u in range(n):
+        for v in range(n):
+            chance = forward if block_of[u] <= block_of[v] else backward
+            if u != v and rng.random() < chance:
+                rows[u] |= 1 << v
+    return Digraph(n, tuple(rows))
+
+
+@given(component_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_scc_masks_match_the_tuple_kosaraju(d):
+    # same components in the same order, members sorted, on masks that
+    # run past 2^24 and 2^64
+    cols = transpose_rows(d.rows, d.n)
+    want = tuple_strong_components(d.rows, cols)
+    assert scc_decompose(d) == want
+    assert all(list(c) == sorted(c) for c in want)
+    masks = _strong_components(d.rows, cols)
+    assert tuple(tuple(bits_of(m)) for m in masks) == want
+
+
+def test_long_paths_get_the_dfs_witness_quickly():
+    # each ascending peel pass takes only the top vertex of i -> i+1,
+    # which made the peel quadratic (about 31 s at this size)
+    n = 16_000
+    up = [1 << (i + 1) for i in range(n - 1)] + [0]
+    down = [0] + [1 << (i - 1) for i in range(1, n)]
+    full = (1 << n) - 1
+    for rows in (up, down, up[:-1] + [1], [1 << (n - 1)] + down[1:]):
+        d = Digraph(n, tuple(rows))
+        start = time.perf_counter()
+        got = is_acyclic(d)
+        assert time.perf_counter() - start < 5
+        want = dfs_cycle_in(rows, full)
+        assert got == (True if want is None else want)
+    assert len(is_acyclic(Digraph(n, tuple(up[:-1] + [1]))).verts) == n
 
 
 def test_scc_on_pair_digraph_matches_oracle():

@@ -342,6 +342,18 @@ def _around(edge):
     return st.integers(max(0, edge - 2**12), edge + 2**12)
 
 
+def _under_top(top):
+    """Masks whose highest set bit is top - 1, the rest drawn dense or
+    sparse below it."""
+    high = 1 << (top - 1)
+    return st.one_of(
+        st.integers(0, high - 1),
+        st.lists(st.integers(0, top - 1), max_size=4).map(
+            lambda bits: sum({1 << j for j in bits})
+        ),
+    ).map(lambda low: high | low)
+
+
 @given(
     st.one_of(
         st.sampled_from([0, 1, 2**24 - 1, 2**24]),
@@ -356,16 +368,24 @@ def _around(edge):
             st.integers(0, 4096),
             st.integers(0, 4096),
         ),
+        # the top bit at each table edge, and far past the last table
+        st.sampled_from([8, 16, 24, 32, 56, 64, 65])
+        .flatmap(lambda edge: st.integers(edge - 2, edge + 2))
+        .flatmap(_under_top),
+        st.integers(66, 5000).flatmap(_under_top),
     )
 )
-@settings(max_examples=300)
+@settings(max_examples=500)
 def test_bits_of_lists_the_set_bits_in_order(mask):
-    assert list(bits_of(mask)) == members(mask)
+    bits = bits_of(mask)
+    assert list(bits) == members(mask)
+    assert all(a < b for a, b in zip(bits, bits[1:]))
+    assert list(bits) == members(mask)  # read a second time
 
 
 def test_bits_of_reads_every_byte_of_each_table():
     for b in range(256):
-        for shift in (0, 8, 16):
-            for rest in (0, 0x800001 & ~(0xFF << shift)):
-                mask = b << shift | rest
+        for shift in range(0, 64, 8):
+            for rest in (0, 0x800001, 1 << 63 | 1, 1 << 64 | 1):
+                mask = b << shift | rest & ~(0xFF << shift)
                 assert list(bits_of(mask)) == members(mask), mask

@@ -36,11 +36,11 @@ from orderdim import (
     random_digraph,
     random_order,
     random_symmetric,
-    scc_decompose,
     verify_homomorphism,
 )
 from orderdim.campaigns import CAMPAIGNS, run_campaign
 from orderdim.cli import run
+from orderdim.digraphs import _strong_components
 from orderdim.relations import transpose_rows
 from orderdim.serialize import dumps, family_payload
 from orderdim.solvers import _cover_scc
@@ -395,8 +395,8 @@ def search_nodes(d, budget):
     mutual = [r & c for r, c in zip(d.rows, cols)]
     counter = [0]
     try:
-        for comp in scc_decompose(d):
-            if len(comp) > 1:
+        for comp in _strong_components(d.rows, cols):
+            if comp & (comp - 1):
                 _cover_scc(
                     d.rows, cols, comp, degree, mutual, budget, counter
                 )

@@ -316,8 +316,8 @@ def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
 def test_search_masks_are_checked_before_they_leave(monkeypatch):
     # order_dimension lifts the search's class masks with no cover record
     # between, so a class that holds a cycle must still be caught there
-    def one_class(rows, cols, verts, degree, mutual, budget, counter):
-        return 1, [sum(1 << v for v in verts)]
+    def one_class(rows, cols, mask, degree, mutual, budget, counter):
+        return 1, [mask]
 
     monkeypatch.setattr(solvers, "_cover_scc", one_class)
     with pytest.raises(InvalidCover, match=r"^class \(0, 1, 2\) holds cycle"):
