@@ -1,14 +1,17 @@
 """Exact solvers: dichromatic number, chromatic number, order dimension.
 
 One deterministic search finds least acyclic covers, as the member
-masks of their classes, and checks each cover before it leaves the
-module. The dichromatic number wraps the masks in an AcyclicCover, and
-the chromatic number reads that cover of the symmetric digraph (every
-edge is a 2-cycle, so an acyclic class is an independent set). The
-dimension covers the critical-pair digraph and lifts each class mask
-straight to a linear extension, with no cover record between. Budgets
-bound search nodes; hitting one raises LimitExceeded rather than
-guessing.
+masks of their classes. Each answer is checked once before it leaves
+the module, by the check that fits it. The dichromatic number runs
+check_cover's per-class test on the masks, then wraps them in an
+AcyclicCover; the chromatic number reads that cover of the symmetric
+digraph (every edge is a 2-cycle, so an acyclic class is an independent
+set). The dimension covers the critical-pair digraph and lifts each
+class mask straight to a linear extension, with no cover record
+between: the lift's peel stalls (CycleInX) on a class that closes a
+cycle, and ExtensionFamily checks that every member extends the base
+and that the family decides every pair. Budgets bound search nodes;
+hitting one raises LimitExceeded rather than guessing.
 """
 
 from __future__ import annotations
@@ -215,7 +218,11 @@ def _assign_classes(
 
 def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
     """The least number of acyclic classes covering d and the member
-    masks of such classes, checked by check_cover's test on the masks.
+    masks of such classes, unchecked. dichromatic_number checks them with
+    check_cover's test; order_dimension leaves them to the lift's peel (a
+    class that closes a cycle stalls it) and to ExtensionFamily, since a
+    cover that missed a vertex yet lifts to a complete family of k members
+    is still a realizer of size k.
 
     Strong components, as member masks, are solved separately (a cycle
     never leaves one) and the per-component optima are overlaid; singleton
@@ -246,7 +253,6 @@ def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
             k_total = k_c
         for j, mask in enumerate(masks):
             merged[j] |= mask
-    _check_class_masks(d, merged)
     return k_total, merged
 
 
@@ -256,6 +262,7 @@ def dichromatic_number(
     """Least number of acyclic classes covering d, with a witness cover."""
     _check_budget(budget)
     k, masks = _least_cover(d, budget)
+    _check_class_masks(d, masks)
     # the classes are ascending bit walks of disjoint masks, so already in
     # AcyclicCover's normal form; bits_of returns a tuple or a list, whose
     # length tuple() reads to size the result at once

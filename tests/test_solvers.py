@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orderdim import (
+    CycleInX,
     Digraph,
+    IncompleteFamily,
     InvalidCover,
     LimitExceeded,
     NotAGraph,
@@ -46,6 +48,8 @@ from .oracles import (
     dict_greedy_mutual_clique,
     dict_has_odd_mutual_cycle,
     dict_mutual_rows,
+    loop_extends,
+    loop_undecided_pair,
     members,
     subset_is_acyclic,
 )
@@ -314,16 +318,80 @@ def test_dimension_matches_brute_force_with_nontrivial_classes(n, seed):
 
 
 def test_search_masks_are_checked_before_they_leave(monkeypatch):
-    # order_dimension lifts the search's class masks with no cover record
-    # between, so a class that holds a cycle must still be caught there
+    # dichromatic_number checks the search's class masks as a cover;
+    # order_dimension lifts them with no cover record between, so a class
+    # that holds a cycle is caught by the lift's peel, which names it
     def one_class(rows, cols, mask, degree, mutual, budget, counter):
         return 1, [mask]
 
     monkeypatch.setattr(solvers, "_cover_scc", one_class)
     with pytest.raises(InvalidCover, match=r"^class \(0, 1, 2\) holds cycle"):
         dichromatic_number(directed_cycle(3))
-    with pytest.raises(InvalidCover, match="holds cycle"):
-        order_dimension(crown_order(3))
+    crown = crown_order(3)
+    with pytest.raises(CycleInX, match="closes a cycle") as err:
+        order_dimension(crown)
+    _, critical = critical_pair_digraph(crown)
+    cycle = err.value.pairs
+    assert len(cycle) >= 2 and set(cycle) <= set(critical)
+    # consecutive pairs (x0, y0), (x1, y1) are pair-digraph edges: y0 <= x1
+    for (_, y0), (x1, _) in zip(cycle, cycle[1:] + cycle[:1]):
+        assert crown.leq(y0, x1)
+
+
+def _corrupt(masks, how, rng):
+    """The masks with one vertex dropped, one vertex moved to another
+    class, or two classes merged; as given when a move or merge has no
+    second class to use."""
+    masks = list(masks)
+    i = rng.below(len(masks))
+    if how == "drop":
+        low = masks[i] & -masks[i]
+        masks[i] ^= low
+    elif len(masks) > 1:
+        j = (i + 1 + rng.below(len(masks) - 1)) % len(masks)
+        if how == "move":
+            low = masks[i] & -masks[i]
+            masks[i] ^= low
+            masks[j] |= low
+        else:
+            i, j = sorted((i, j))
+            masks[i] |= masks.pop(j)
+    return masks
+
+
+@given(
+    st.integers(2, 12),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["drop", "move", "merge"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_corrupted_search_masks_never_leave_as_a_realizer(
+    n, p, seed, quasi, how
+):
+    # order_dimension does not check the search's masks as a cover: the
+    # lift's peel and ExtensionFamily must catch every corruption that
+    # does not still lift to a realizer of the same size
+    q = random_quasi(n, p, seed) if quasi else random_order(n, p, seed)
+    d = order_dimension(q).d
+    rng = SplitMix64(seed)
+    true_cover_scc = solvers._cover_scc
+
+    def corrupted(*args):
+        k, masks = true_cover_scc(*args)
+        return k, _corrupt(masks, how, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_cover_scc", corrupted)
+        try:
+            res = order_dimension(q)
+        except (CycleInX, IncompleteFamily):
+            return
+    exts = res.witness.exts
+    assert res.d == len(exts) == d
+    assert all(loop_extends(q, e) for e in exts)
+    assert loop_undecided_pair(q, exts) is None
 
 
 @pytest.mark.parametrize("seed", range(12))
