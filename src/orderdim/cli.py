@@ -186,6 +186,11 @@ def _cmd_reduce(args, out) -> int:
         )
         return 0
     g = _load(args.source, digraph_from_payload)
+    if 2 * g.n > MAX_INPUT_N:
+        raise TooLarge(
+            f"reduce pg of {g.n} vertices writes {2 * g.n} elements, above "
+            f"the input limit of {MAX_INPUT_N}"
+        )
     q, emb = two_level_order(g)
     _emit(
         args,

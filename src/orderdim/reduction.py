@@ -142,6 +142,7 @@ def critical_pair_digraph(
 
 def _critical_pair_frame(q: QuasiOrder):
     """critical_pair_digraph(q) and _peel_frame(q), which it reads.
+    Every pair (b, a) joins two class leaders that q leaves incomparable.
     TooLarge as soon as the pairs counted pass MAX_PAIR_VERTICES, before
     any is listed."""
     frame = same, down, up, lead = _peel_frame(q)
@@ -154,19 +155,9 @@ def _critical_pair_frame(q: QuasiOrder):
     count = 0
     for b in lead:
         db, ub = down[b], up[b]
-        # everything strictly above b is above a iff a lies strictly below
-        # each leader above b; once a leader z is used, the elements above
-        # z add nothing, as a < z < w gives a < w
-        cand = leaders & ~(db | ub | same[b])
-        above = ub & leaders
-        while above and cand:
-            low = above & -above
-            z = low.bit_length() - 1
-            cand &= down[z]
-            above &= ~(up[z] | low)
         ys = 0
-        for a in bits_of(cand):
-            if down[a] & ~db == 0:
+        for a in bits_of(leaders & ~(db | ub | same[b])):
+            if down[a] & ~db == 0 and ub & ~up[a] == 0:
                 ys |= 1 << a
         seconds[b] = ys
         count += ys.bit_count()
@@ -235,22 +226,18 @@ def _pair_cycle(base: QuasiOrder, pair_rows) -> CycleInX:
 def _lift_masks(base: QuasiOrder, frame, pairs, masks):
     """linear_extension(extend_by_pairs(base, [pairs[v] for v in
     bits_of(mask)])) of each mask, one _peel each off frame,
-    _peel_frame(base); BadPair or CycleInX as in extend_by_pairs.
-
-    Each pair (a, b) of a mask gets extend_by_pairs' range and direction
-    checks and puts a into the below-set of the leader of b's class;
-    critical pairs join leaders already."""
-    n, leq = base.n, base.rows
+    _peel_frame(base). pairs are vertices of the base's pair digraph or
+    critical-pair digraph, so in range. Each pair (a, b) of a mask puts a
+    into the below-set of the leader of b's class (critical pairs join
+    leaders already). A reversed comparable pair stalls the peel as a
+    cycle does, and the stall raises what extend_by_pairs would: BadPair
+    for the first such pair, else CycleInX."""
     same, down, _, _ = frame
     exts = []
     for mask in masks:
         below = list(down)
         for v in bits_of(mask):
             a, b = pairs[v]
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexOutOfRange(f"pair ({a}, {b}) outside 0..{n - 1}")
-            if (leq[b] >> a) & 1:
-                raise BadPair(f"({a}, {b}) is already decided downward")
             s = same[b]
             below[(s & -s).bit_length() - 1] |= 1 << a
         ext = _peel(base, frame, below)

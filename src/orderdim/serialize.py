@@ -22,8 +22,8 @@ from .relations import QuasiOrder, bits_of, close_rows
 
 # Largest element or vertex count an instance may declare. It admits
 # every payload the package writes (g0 digraphs reach 4,096 vertices and
-# `reduce pg` doubles a digraph) and is checked before anything is sized
-# by n.
+# `reduce pg` refuses a digraph whose doubling would pass it) and is
+# checked before anything is sized by n.
 MAX_INPUT_N = 1 << 14
 
 

@@ -157,8 +157,6 @@ def _assign_classes(
     v's bit from its class.
     """
     m = len(order)
-    if m == 0:
-        return []
     assign = [-1] * m
     limit = [0] * m
     masks = [0] * k

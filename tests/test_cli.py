@@ -698,6 +698,29 @@ def test_reduce_pg_embedding(capsys, c3):
     assert len(doc["embedding"]) == 3
 
 
+def test_reduce_pg_writes_only_orders_that_read_back(
+    capsys, tmp_path, monkeypatch
+):
+    # the order has two elements per vertex: up to half the input limit
+    # it reads back, one vertex more is refused before it is built
+    import orderdim.cli as cli
+    from orderdim.serialize import MAX_INPUT_N, order_from_payload
+
+    half = MAX_INPUT_N // 2
+    edgeless = {"kind": "digraph", "edges": []}
+    code, out, _ = invoke(
+        capsys, "reduce", "pg", write(tmp_path, "a.json", {**edgeless, "n": half})
+    )
+    assert code == 0
+    assert order_from_payload(json.loads(out)["order"]).n == 2 * half
+    monkeypatch.setattr(
+        cli, "two_level_order", lambda g: pytest.fail("order built")
+    )
+    over = write(tmp_path, "b.json", {**edgeless, "n": half + 1})
+    code, out, err = invoke(capsys, "reduce", "pg", over)
+    assert code == 3 and out == "" and err.startswith("too large: ")
+
+
 def test_verify_small_campaign_streams_certificates(capsys):
     code, out, err = invoke(capsys, "verify", "g0", "--n", "1")
     assert code == 0

@@ -160,8 +160,26 @@ def test_cyclic_pair_set_through_a_class_raises_cycle():
 
 
 def test_lift_rejects_base_comparable_reversals():
-    with pytest.raises(BadPair):
-        lift_pairs(chain_order(2), [(1, 0)])
+    # each offer holds a pair whose upper end is already below-or-equal
+    # its lower end; the lift names the first such pair, as
+    # extend_by_pairs does
+    pair_class = quasi_order(2, [(0, 1), (1, 0)], close=True)
+    cases = [
+        (chain_order(2), [(1, 0)], (1, 0)),
+        (pair_class, [(0, 1)], (0, 1)),
+        (pair_class, [(1, 0)], (1, 0)),
+        (chain_order(4), [(3, 1)], (3, 1)),
+        (chain_order(4), [(0, 3), (2, 1), (3, 0)], (2, 1)),
+        (quasi_order(3, [(0, 1)]), [(0, 2), (1, 0)], (1, 0)),
+    ]
+    for base, offered, (a, b) in cases:
+        message = f"({a}, {b}) is already decided downward"
+        with pytest.raises(BadPair) as err:
+            lift_pairs(base, offered)
+        assert str(err.value) == message, offered
+        with pytest.raises(BadPair) as old:
+            extend_by_pairs(base, offered)
+        assert str(old.value) == message, offered
 
 
 @given(st.integers(2, 9), st.sampled_from([0.15, 0.2, 0.25, 0.3]), SEEDS)

@@ -192,6 +192,30 @@ def test_critical_pair_digraph_is_induced_on_critical_pairs(n, p, seed):
             assert cp.adj(i, j) == ap.adj(u, v)
 
 
+@given(
+    st.one_of(
+        merged_quasi_orders(max_n=16),
+        st.builds(
+            random_order,
+            st.integers(0, 16),
+            st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+@settings(max_examples=200)
+def test_critical_pairs_join_incomparable_class_leaders(q):
+    # the lift reads each critical pair with no range or direction check
+    leaders = {
+        min(y for y in range(q.n) if q.leq(x, y) and q.leq(y, x))
+        for x in range(q.n)
+    }
+    for x, y in critical_pair_digraph(q)[1]:
+        assert 0 <= x < q.n and 0 <= y < q.n
+        assert x in leaders and y in leaders
+        assert not q.leq(x, y) and not q.leq(y, x)
+
+
 def test_comparable_pairs_induce_acyclic_subgraph():
     for base in (chain_order(4), crown_order(3), random_order(6, 0.3, 5)):
         ap, a_pairs = pair_digraph(base)
