@@ -183,12 +183,19 @@ def is_minimal_cycle(d: Digraph, verts) -> bool:
     return all(rows[v] & members == 1 << w for v, w in zip(vs, vs[1:] + vs[:1]))
 
 
-# default node budget of minimal_cycles and the homomorphism search and check
-DEFAULT_NODE_BUDGET = 10**6
+# default node budget of every exact search, here and in solvers
+DEFAULT_SEARCH_BUDGET = 5_000_000
+
+
+def _check_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise TypeError(
+            f"budget must be an int, got {type(budget).__name__} {budget!r}"
+        )
 
 
 def minimal_cycles(
-    d: Digraph, budget: int = DEFAULT_NODE_BUDGET
+    d: Digraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Cycle, ...]:
     """All minimal cycles, least vertex first.
 
@@ -199,6 +206,7 @@ def minimal_cycles(
     start forbids any longer continuation. Raises LimitExceeded after
     `budget` extension attempts.
     """
+    _check_budget(budget)
     rows = d.rows
     cols = transpose_rows(rows, d.n)
     out: list[Cycle] = []
@@ -330,13 +338,14 @@ def _cycle_non_edges(g: Digraph, budget: int):
 
 
 def verify_homomorphism(
-    g: Digraph, h: Digraph, w: HomWitness, budget: int = DEFAULT_NODE_BUDGET
+    g: Digraph, h: Digraph, w: HomWitness, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> HomCheck:
     """Recheck a witness from scratch; independent of any search state.
 
     A minimal witness enumerates the minimal cycles of g, which raises
     LimitExceeded past `budget` extension attempts.
     """
+    _check_budget(budget)
     if len(w.mapping) != g.n:
         raise SizeMismatch(f"mapping covers {len(w.mapping)} of {g.n} vertices")
     for t in w.mapping:
@@ -360,7 +369,7 @@ def find_homomorphism(
     g: Digraph,
     h: Digraph,
     minimal: bool = False,
-    budget: int = DEFAULT_NODE_BUDGET,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> HomWitness | None:
     """First witness in canonical search order, or None when none exists.
 
@@ -369,6 +378,7 @@ def find_homomorphism(
     LimitExceeded when the node budget runs out before the search settles;
     None is only returned after the full space is exhausted.
     """
+    _check_budget(budget)
     if g.n == 0:
         return HomWitness((), minimal)
     # out-degree plus in-degree, the in-degrees read off one transpose

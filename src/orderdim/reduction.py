@@ -53,6 +53,16 @@ def _pair_ends(q: QuasiOrder) -> list[int]:
     return [full & ~below for below in transpose_rows(q.rows, q.n)]
 
 
+def _guard_pair_vertices(ends) -> None:
+    """TooLarge when ends holds over MAX_PAIR_VERTICES pair vertices."""
+    count = sum(ys.bit_count() for ys in ends)
+    if count > MAX_PAIR_VERTICES:
+        raise TooLarge(
+            f"{count} pair vertices exceed the pair vertex guard of "
+            f"{MAX_PAIR_VERTICES}"
+        )
+
+
 def _pair_vertices(ends, rows) -> tuple[int, ...]:
     """Indices, in pair_digraph's lexicographic order, of the pair vertices
     (x, y) with y in rows[x], where ends is _pair_ends of the order; the
@@ -77,12 +87,7 @@ def pair_digraph(
     ends = _pair_ends(q)
     if incomparable_only:
         ends = [ys & ~row for ys, row in zip(ends, q.rows)]
-    count = sum(ys.bit_count() for ys in ends)
-    if count > MAX_PAIR_VERTICES:
-        raise TooLarge(
-            f"{count} pair vertices exceed the pair vertex guard of "
-            f"{MAX_PAIR_VERTICES}"
-        )
+    _guard_pair_vertices(ends)
     pairs, rows = _pair_out_rows(ends, q.rows)
     return trusted(Digraph, len(pairs), tuple(rows)), tuple(pairs)
 
@@ -361,12 +366,11 @@ def cover_to_extensions(base: QuasiOrder, cover: AcyclicCover) -> ExtensionFamil
 
 def extensions_to_cover(fam: ExtensionFamily) -> AcyclicCover:
     """One pair-digraph class per extension, the pair vertices (x, y) with y
-    in its row of x; classes always come out acyclic."""
-    ap, _ = pair_digraph(fam.base)
+    in its row of x: acyclic, as a cycle would merge two base classes in
+    the extension, and covering, as the family is complete."""
     ends = _pair_ends(fam.base)
-    cover = AcyclicCover(tuple(_pair_vertices(ends, e.rows) for e in fam.exts))
-    check_cover(ap, cover)
-    return cover
+    _guard_pair_vertices(ends)
+    return AcyclicCover(tuple(_pair_vertices(ends, e.rows) for e in fam.exts))
 
 
 def two_level_order(d: Digraph) -> tuple[QuasiOrder, tuple[int, ...]]:

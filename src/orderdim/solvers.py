@@ -1,14 +1,14 @@
 """Exact solvers: dichromatic number, chromatic number, order dimension.
 
-One deterministic search finds least acyclic covers, as the member
-masks of their classes. Each answer is checked once before it leaves
-the module, by the check that fits it. The dichromatic number runs
-check_cover's per-class test on the masks, then wraps them in an
-AcyclicCover; the chromatic number reads that cover of the symmetric
-digraph (every edge is a 2-cycle, so an acyclic class is an independent
-set). The dimension covers the critical-pair digraph and lifts each
-class mask straight to a linear extension, with no cover record
-between: the lift's peel stalls (CycleInX) on a class that closes a
+One deterministic search finds least acyclic covers as the member masks
+of their classes, each search call returning its classes with the nodes
+it spent. Each answer is checked once before it leaves, by the check
+that fits it: the dichromatic number runs check_cover's per-class test
+on the masks and wraps them in an AcyclicCover, which the chromatic
+number reads for the symmetric digraph (every edge is a 2-cycle, so an
+acyclic class is an independent set). The dimension covers the
+critical-pair digraph and lifts each class mask straight to a linear
+extension: the lift's peel stalls (CycleInX) on a class that closes a
 cycle, and ExtensionFamily checks that every member extends the base
 and that the family decides every pair. Budgets bound search nodes;
 hitting one raises LimitExceeded rather than guessing.
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from operator import add, and_
 
-from .digraphs import Digraph, _strong_components
+from .digraphs import DEFAULT_SEARCH_BUDGET, Digraph, _check_budget
+from .digraphs import _strong_components
 from .errors import LimitExceeded, NotAGraph
 from .records import Record, set_slot, trusted
 from .reduction import (
@@ -28,16 +29,7 @@ from .reduction import (
     _critical_pair_frame,
     _lift_masks,
 )
-from .relations import QuasiOrder, _peel, bits_of, transpose_rows
-
-DEFAULT_SEARCH_BUDGET = 5_000_000
-
-
-def _check_budget(budget) -> None:
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise TypeError(
-            f"budget must be an int, got {type(budget).__name__} {budget!r}"
-        )
+from .relations import QuasiOrder, bits_of, transpose_rows
 
 
 class DicrResult(Record):
@@ -108,17 +100,18 @@ def _cover_scc(
     degree,
     mutual,
     budget: int,
-    counter: list[int],
-) -> tuple[int, list[int]]:
+    spent: int,
+) -> tuple[int, list[int], int]:
     """Exact minimum acyclic vertex cover of the strong component with
-    member mask mask, as the member masks of its classes. degree[v] and
-    mutual[v] are v's in- plus out-degree and 2-cycle neighbours in the
-    whole digraph, built once for all its components.
+    member mask mask: k, the member masks of its k classes, and spent plus
+    the nodes visited. degree[v] and mutual[v] are v's in- plus out-degree
+    and 2-cycle neighbours in the whole digraph, built once for all.
 
     Tries k upward from a lower bound: the greedy mutual clique, at least
     2 (a strong component with two vertices holds a cycle), and 3 when
     the mutual edges hold an odd cycle. A 2-cycle never leaves a strong
     component, so the component's mask only seeds the bound's search.
+    Each of the k classes is used: fewer would have succeeded at a lower k.
     """
     # descending degree, ties by id: the sort keeps the ascending order
     # of equal keys even when reversed
@@ -128,17 +121,17 @@ def _cover_scc(
     if lower == 2 and _has_odd_mutual_cycle(mutual, mask):
         lower = 3
     for k in range(lower, m + 1):
-        masks = _assign_classes(rows, cols, order, k, budget, counter)
+        masks, spent = _assign_classes(rows, cols, order, k, budget, spent)
         if masks is not None:
-            return k, [c for c in masks if c]
+            return k, masks, spent
     raise AssertionError("singleton classes are always feasible")
 
 
 def _assign_classes(
-    rows, cols, order: list[int], k: int, budget: int, counter: list[int]
-) -> list[int] | None:
-    """Backtracking k-class assignment keeping every class acyclic; the
-    member mask of each class, or None when k classes cannot do.
+    rows, cols, order: list[int], k: int, budget: int, spent: int
+) -> tuple[list[int] | None, int]:
+    """Backtracking k-class assignment keeping every class acyclic: the
+    k classes' member masks, or None if k cannot do, and spent plus nodes.
 
     Classes open in index order (the first vertex placed in a fresh class
     is the earliest unassigned one), which breaks class symmetry, so depth
@@ -166,7 +159,7 @@ def _assign_classes(
     ins = [cols[v] for v in order]
     vbits = [1 << v for v in order]
     out_of = {1 << v: rows[v] for v in order}
-    nodes = counter[0]
+    nodes = spent
     depth = 0
     c = 0
     while True:
@@ -176,7 +169,6 @@ def _assign_classes(
         while c <= lim:
             nodes += 1
             if nodes > budget:
-                counter[0] = nodes
                 raise LimitExceeded(budget, "acyclic cover search")
             members = masks[c]
             into = in_row & members
@@ -197,8 +189,7 @@ def _assign_classes(
         else:
             depth -= 1
             if depth < 0:
-                counter[0] = nodes
-                return None
+                return None, nodes
             c = assign[depth]
             masks[c] ^= vbits[depth]
             c += 1
@@ -206,8 +197,7 @@ def _assign_classes(
         assign[depth] = c
         masks[c] = members | vbits[depth]
         if depth == m - 1:
-            counter[0] = nodes
-            return masks
+            return masks, nodes
         # a fresh class opens at the next depth unless all k are open
         depth += 1
         limit[depth] = lim + 1 if c == lim < k - 1 else lim
@@ -236,22 +226,19 @@ def _least_cover(d: Digraph, budget: int) -> tuple[int, list[int]]:
         map(add, map(int.bit_count, rows), map(int.bit_count, cols))
     )
     mutual = list(map(and_, rows, cols))
-    counter = [0]
-    k_total = 1
+    spent = 0
     merged = [0]
     for comp in _strong_components(rows, cols):
         if not comp & (comp - 1):
             merged[0] |= comp
             continue
-        k_c, masks = _cover_scc(
-            rows, cols, comp, degree, mutual, budget, counter
+        _, masks, spent = _cover_scc(
+            rows, cols, comp, degree, mutual, budget, spent
         )
-        if k_c > k_total:
-            merged += [0] * (k_c - k_total)
-            k_total = k_c
+        merged += [0] * (len(masks) - len(merged))
         for j, mask in enumerate(masks):
             merged[j] |= mask
-    return k_total, merged
+    return len(merged), merged
 
 
 def dichromatic_number(
@@ -293,16 +280,14 @@ def order_dimension(
 
     Covers the critical-pair subdigraph of the pair digraph with the
     fewest acyclic classes and lifts each class mask, read as its pairs,
-    to a linear extension that reverses them. Quotients with at most one
-    class need no extension at all, so the answer there is 0; a chain has
-    no critical pair and answers 1 with its own linear extension.
+    to a linear extension that reverses them. With no critical pair the
+    cover is empty and lifts to the empty family, unless q is a chain of
+    two or more classes: one empty class lifts to its linear extension.
     """
     _check_budget(budget)
     cp, pairs, frame = _critical_pair_frame(q)
-    if cp.n == 0:
-        if len(set(q.rows)) <= 1:  # distinct rows are the classes
-            return DimResult(0, ExtensionFamily(q, ()))
-        return DimResult(1, ExtensionFamily(q, (_peel(q, frame, frame[1]),)))
     k, masks = _least_cover(cp, budget)
+    if not k and len(frame[3]) > 1:  # frame[3] holds one leader a class
+        k, masks = 1, [0]
     exts = _lift_masks(q, frame, pairs, masks)
     return DimResult(k, ExtensionFamily(q, exts))

@@ -18,6 +18,7 @@ from orderdim import (
     QuasiOrder,
     QuotientPoset,
     SizeMismatch,
+    SplitMix64,
     TooLarge,
     extend_by_pairs,
     linear_extension,
@@ -536,3 +537,31 @@ def brute_force_poset_count(n: int) -> int:
         trans = ~(prod & ~mats).any(axis=(1, 2))
         total += int((anti & trans).sum())
     return total
+
+
+def planted_order(
+    n: int, k: int, seed: int
+) -> tuple[QuasiOrder, tuple[QuasiOrder, ...]]:
+    """Winkler's random k-dimensional order: the intersection of k linear
+    orders of 0..n-1, each a Fisher-Yates shuffle drawn from
+    SplitMix64(seed), and those k orders, which realize it by
+    construction. Rows are ANDed element by element, with no closure."""
+    rng = SplitMix64(seed)
+    full = (1 << n) - 1
+    rows = [full] * n
+    linears = []
+    for _ in range(k):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        # perm lists the elements bottom first: each row holds its own
+        # element and every element listed after it
+        line = [0] * n
+        above = 0
+        for x in reversed(perm):
+            above |= 1 << x
+            line[x] = above
+        linears.append(QuasiOrder(n, tuple(line)))
+        rows = [r & a for r, a in zip(rows, line)]
+    return QuasiOrder(n, tuple(rows)), tuple(linears)

@@ -354,6 +354,43 @@ def test_cover_extension_round_trip_on_crown():
         assert extend_by_pairs(base, extension_pairs(base, ext)).rows == ext.rows
 
 
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0.15, 0.3, 0.5]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_family_cover_is_an_acyclic_cover_as_built(n, p, seed, quasi):
+    # extensions_to_cover runs no cover check: a member's pairs hold no
+    # pair-digraph cycle and a complete family covers every pair vertex
+    base = random_quasi(n, p, seed) if quasi else random_order(n, p, seed)
+    fam = order_dimension(base).witness
+    ap, pairs = pair_digraph(base)
+    back = extensions_to_cover(fam)
+    check_cover(ap, back)
+    for cls, ext in zip(back.classes, fam.exts):
+        assert [pairs[v] for v in cls] == list(extension_pairs(base, ext))
+
+
+def test_family_cover_guard_fires_before_any_pair_is_listed(monkeypatch):
+    n = 200
+    base = antichain_order(n)
+    up = quasi_order(n, [(x, x + 1) for x in range(n - 1)], close=True)
+    down = quasi_order(n, [(x + 1, x) for x in range(n - 1)], close=True)
+    fam = ExtensionFamily(base, (up, down))
+    message = "^39800 pair vertices exceed the pair vertex guard of 16384$"
+    with pytest.raises(TooLarge, match=message):
+        pair_digraph(base)
+
+    def listed(*args):
+        raise AssertionError("pairs listed before the guard")
+
+    monkeypatch.setattr(reduction, "_pair_vertices", listed)
+    with pytest.raises(TooLarge, match=message):
+        extensions_to_cover(fam)
+
+
 def test_family_completeness_is_enforced():
     base = antichain_order(2)
     one = quasi_order(2, [(0, 1)], close=True)

@@ -388,21 +388,21 @@ ORDER_SWEEP_PIN = (
 def search_nodes(d, budget):
     """Nodes dichromatic_number(d, budget) visits; budget + 1 if it stops.
 
-    Runs the per-component search the way dichromatic_number does, with
-    one counter shared by every strong component."""
+    Runs the per-component search the way dichromatic_number does, each
+    strong component counting on from the nodes spent before it."""
     cols = transpose_rows(d.rows, d.n)
     degree = [r.bit_count() + c.bit_count() for r, c in zip(d.rows, cols)]
     mutual = [r & c for r, c in zip(d.rows, cols)]
-    counter = [0]
+    spent = 0
     try:
         for comp in _strong_components(d.rows, cols):
             if comp & (comp - 1):
-                _cover_scc(
-                    d.rows, cols, comp, degree, mutual, budget, counter
+                _, _, spent = _cover_scc(
+                    d.rows, cols, comp, degree, mutual, budget, spent
                 )
     except LimitExceeded:
-        assert counter[0] == budget + 1
-    return counter[0]
+        return budget + 1
+    return spent
 
 
 def sweep_pin(graphs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from orderdim import (
     CycleInX,
     Digraph,
+    ExtensionFamily,
+    HomWitness,
     IncompleteFamily,
     InvalidCover,
     LimitExceeded,
@@ -27,20 +30,30 @@ from orderdim import (
     digraph,
     directed_cycle,
     enumerate_posets,
+    find_homomorphism,
+    linear_extension,
+    minimal_cycles,
     order_dimension,
     pair_digraph,
     quasi_order,
     quotient,
+    random_digraph,
     random_order,
     random_quasi,
     random_symmetric,
     realizer_oracle,
+    verify_homomorphism,
 )
 from orderdim import solvers
 from orderdim.digraphs import scc_decompose
 from orderdim.relations import transpose_rows
 from orderdim.rng import SplitMix64
-from orderdim.solvers import _greedy_mutual_clique, _has_odd_mutual_cycle
+from orderdim.solvers import (
+    DEFAULT_SEARCH_BUDGET,
+    DimResult,
+    _greedy_mutual_clique,
+    _has_odd_mutual_cycle,
+)
 
 from .oracles import (
     brute_chrom,
@@ -279,10 +292,24 @@ def test_dimension_convention_small_quotients():
         quasi_order(0, [], close=True),
         quasi_order(1, [], close=True),
         quasi_order(2, [(0, 1), (1, 0)], close=True),
+        quasi_order(3, [(0, 1), (1, 2), (2, 0)], close=True),
+        antichain_order(0),
+        antichain_order(1),
     ):
         res = order_dimension(base)
         assert res.d == 0
         assert res.witness.size == 0
+        assert res == DimResult(0, ExtensionFamily(base, ()))
+    # chains of two or more classes have no critical pair: the answer is
+    # the plain linear extension alone
+    for base in (
+        chain_order(2),
+        chain_order(5),
+        quasi_order(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], close=True),
+        quasi_order(3, [(2, 0), (0, 1), (1, 0)], close=True),
+    ):
+        one = ExtensionFamily(base, (linear_extension(base),))
+        assert order_dimension(base) == DimResult(1, one)
 
 
 def test_dimension_known_values():
@@ -321,8 +348,8 @@ def test_search_masks_are_checked_before_they_leave(monkeypatch):
     # dichromatic_number checks the search's class masks as a cover;
     # order_dimension lifts them with no cover record between, so a class
     # that holds a cycle is caught by the lift's peel, which names it
-    def one_class(rows, cols, mask, degree, mutual, budget, counter):
-        return 1, [mask]
+    def one_class(rows, cols, mask, degree, mutual, budget, spent):
+        return 1, [mask], spent
 
     monkeypatch.setattr(solvers, "_cover_scc", one_class)
     with pytest.raises(InvalidCover, match=r"^class \(0, 1, 2\) holds cycle"):
@@ -379,8 +406,8 @@ def test_corrupted_search_masks_never_leave_as_a_realizer(
     true_cover_scc = solvers._cover_scc
 
     def corrupted(*args):
-        k, masks = true_cover_scc(*args)
-        return k, _corrupt(masks, how, rng)
+        k, masks, spent = true_cover_scc(*args)
+        return k, _corrupt(masks, how, rng), spent
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solvers, "_cover_scc", corrupted)
@@ -402,6 +429,97 @@ def test_dimension_is_the_critical_pair_dichromatic_number(seed):
     ):
         cp, _ = critical_pair_digraph(q)
         assert order_dimension(q).d == dichromatic_number(cp).k
+
+
+def _critical_pair_digraphs():
+    return st.builds(
+        lambda make, n, p, seed: critical_pair_digraph(make(n, p, seed))[0],
+        st.sampled_from([random_order, random_quasi]),
+        st.integers(0, 14),
+        st.sampled_from([0.15, 0.3, 0.5]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def _sparse_digraphs():
+    return st.builds(
+        random_digraph,
+        st.integers(0, 14),
+        st.sampled_from([0.1, 0.2, 0.3]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def _assert_exact_partition(masks, whole):
+    seen = 0
+    for mask in masks:
+        assert mask, "an empty class"
+        assert not mask & seen, "two classes share a vertex"
+        seen |= mask
+    assert seen == whole
+
+
+@given(
+    st.one_of(digraphs(max_n=9), _sparse_digraphs(), _critical_pair_digraphs())
+)
+@settings(max_examples=200, deadline=None)
+def test_search_classes_are_nonempty_disjoint_and_cover(d):
+    # the search hands back exactly k classes, none empty, partitioning
+    # each strong component and the whole vertex set
+    budget = DEFAULT_SEARCH_BUDGET
+    k, masks = solvers._least_cover(d, budget)
+    assert len(masks) == k
+    _assert_exact_partition(masks, (1 << d.n) - 1)
+    cols = transpose_rows(d.rows, d.n)
+    degree = [r.bit_count() + c.bit_count() for r, c in zip(d.rows, cols)]
+    mutual = [r & c for r, c in zip(d.rows, cols)]
+    spent = 0
+    for comp in scc_decompose(d):
+        if len(comp) > 1:
+            mask = sum(1 << v for v in comp)
+            k_c, comp_masks, after = solvers._cover_scc(
+                d.rows, cols, mask, degree, mutual, budget, spent
+            )
+            assert len(comp_masks) == k_c <= k and after > spent
+            _assert_exact_partition(comp_masks, mask)
+            spent = after
+
+
+_C3 = directed_cycle(3)
+_SEARCHES = {
+    "dichromatic_number": lambda b: dichromatic_number(_C3, b),
+    "chromatic_number": lambda b: chromatic_number(bidirected_clique(2), b),
+    "order_dimension": lambda b: order_dimension(crown_order(2), b),
+    "find_homomorphism": lambda b: find_homomorphism(_C3, _C3, budget=b),
+    "minimal_cycles": lambda b: minimal_cycles(_C3, b),
+    "verify_homomorphism": lambda b: verify_homomorphism(
+        _C3, _C3, HomWitness((0, 1, 2)), b
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _SEARCHES)
+@pytest.mark.parametrize("bad", [True, 2.5, "5"], ids=repr)
+def test_every_exact_search_refuses_a_budget_that_is_not_an_int(name, bad):
+    with pytest.raises(TypeError, match=r"^budget must be an int, got"):
+        _SEARCHES[name](bad)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        dichromatic_number,
+        chromatic_number,
+        order_dimension,
+        find_homomorphism,
+        minimal_cycles,
+        verify_homomorphism,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_every_exact_search_defaults_to_one_budget(search):
+    budget = inspect.signature(search).parameters["budget"]
+    assert budget.default == DEFAULT_SEARCH_BUDGET
 
 
 def test_budget_must_be_an_int():
