@@ -73,6 +73,8 @@ def parse_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("not valid JSON: nested too deeply") from None
 
 
 def _read_pairs(raw, what: str, rows: list[int]):

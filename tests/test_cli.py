@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -24,7 +25,6 @@ from orderdim.cli import (
     _fast_parse,
     _parse,
     build_parser,
-    main,
     run,
 )
 
@@ -157,16 +157,16 @@ def test_enumerate_guard_exits_three(capsys):
 
 def test_gen_is_byte_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["gen", "poset", "--n", "6", "--p", "0.3",
-                 "--seed", "42", "--out", a]) == 0
-    assert main(["gen", "poset", "--n", "6", "--p", "0.3",
-                 "--seed", "42", "--out", b]) == 0
+    assert run(["gen", "poset", "--n", "6", "--p", "0.3",
+                "--seed", "42", "--out", a]) == 0
+    assert run(["gen", "poset", "--n", "6", "--p", "0.3",
+                "--seed", "42", "--out", b]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_gen_crown_feeds_dim(capsys, tmp_path):
     path = str(tmp_path / "crown.json")
-    assert main(["gen", "crown", "--n", "3", "--out", path]) == 0
+    assert run(["gen", "crown", "--n", "3", "--out", path]) == 0
     code, out, _ = invoke(capsys, "dim", path)
     assert code == 0 and json.loads(out)["d"] == 3
 
@@ -404,11 +404,33 @@ def test_run_pauses_the_collector_and_restores_it(
     try:
         for argv, want in cases:
             gc.enable() if enabled else gc.disable()
+            frozen = gc.get_freeze_count()
             code, _, _ = invoke(capsys, *argv)
             assert code == want and gc.isenabled() is enabled, argv
+            assert gc.get_freeze_count() == frozen, argv
     finally:
         gc.enable()
     assert paused == [True]
+
+
+def test_main_freezes_the_heap_once_the_answer_is_written(capsys, c3):
+    # the process entry ends with gc.freeze(), so the collections at
+    # interpreter exit skip the heap; the answer is run()'s to the byte
+    code = (
+        "import gc, sys; from orderdim.cli import main; "
+        "before = gc.get_freeze_count(); code = main(sys.argv[1:]); "
+        "sys.exit(code if before == 0 < gc.get_freeze_count() else 99)"
+    )
+    for argv in (["dicr", c3], ["dicr", c3 + ".missing"],
+                 ["dicr", c3, "--budget", "1"]):
+        proc = child(
+            "-c", code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out.decode(), err.decode()) == invoke(
+            capsys, *argv
+        ), argv
+    assert proc.returncode == 3
 
 
 def test_gen_refuses_quadratic_kinds_above_their_guard(capsys):
@@ -475,9 +497,9 @@ def test_reduce_edge_guard_exits_three_at_once(capsys, tmp_path):
     chain80, chain70, anti = (
         str(tmp_path / name) for name in ("c80.json", "c70.json", "a.json")
     )
-    assert main(["gen", "chain", "--n", "80", "--out", chain80]) == 0
-    assert main(["gen", "chain", "--n", "70", "--out", chain70]) == 0
-    assert main(["gen", "antichain", "--n", "128", "--out", anti]) == 0
+    assert run(["gen", "chain", "--n", "80", "--out", chain80]) == 0
+    assert run(["gen", "chain", "--n", "70", "--out", chain70]) == 0
+    assert run(["gen", "antichain", "--n", "128", "--out", anti]) == 0
     for argv in (["reduce", "ap", chain80], ["reduce", "bp", anti]):
         t0 = time.perf_counter()
         code, out, err = invoke(capsys, *argv)
@@ -614,6 +636,45 @@ def test_convert_bad_witness_is_usage_error(capsys, tmp_path):
     code, out, err = invoke(capsys, "convert", "ext-to-cover", chain, scalar)
     assert code == 2 and out == ""
     assert err == f'error: {scalar}: "extensions" must be a list\n'
+
+
+def test_undecodable_input_is_usage_error(
+    capsys, monkeypatch, tmp_path, crown
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    cover = write(tmp_path, "cover.json", {"classes": [[0, 1, 2, 3, 4, 5]]})
+    for argv in (
+        ["dim", str(bad)],
+        ["dicr", str(bad)],
+        ["convert", "cover-to-ext", str(bad), cover],
+        ["convert", "cover-to-ext", crown, str(bad)],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: cannot read {bad}: "), argv
+        assert "Traceback" not in err, argv
+    # stdin decodes strictly under a UTF-8 locale other than C.UTF-8
+    monkeypatch.setattr(
+        sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    )
+    code, out, err = invoke(capsys, "dim", "-")
+    assert code == 2 and out == "" and err.startswith("error: cannot read -: ")
+
+
+def test_json_nested_past_the_recursion_limit_is_usage_error(
+    capsys, tmp_path
+):
+    deep = "[" * 100_000 + "]" * 100_000
+    for name, text in (
+        ("deep.json", deep),
+        ("pairs.json", '{"kind": "quasi", "n": 2, "pairs": %s}' % deep),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = invoke(capsys, "dim", str(path))
+        assert code == 2 and out == "", name
+        assert err.startswith(f"error: {path}: not valid JSON"), name
 
 
 def test_boolean_ids_are_usage_errors(capsys, tmp_path):
@@ -789,10 +850,10 @@ def test_verify_refuses_enumeration_above_its_guard_at_once(capsys, name):
 
 def test_verify_output_bytes_are_seed_stable(tmp_path):
     a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    assert main(["verify", "cyclefree-extends", "--n", "4",
-                 "--seed", "5", "--out", a]) == 0
-    assert main(["verify", "cyclefree-extends", "--n", "4",
-                 "--seed", "5", "--out", b]) == 0
+    assert run(["verify", "cyclefree-extends", "--n", "4",
+                "--seed", "5", "--out", a]) == 0
+    assert run(["verify", "cyclefree-extends", "--n", "4",
+                "--seed", "5", "--out", b]) == 0
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 

@@ -74,6 +74,11 @@ def test_parse_and_format_errors():
         order_from_payload({"kind": "quasi", "n": 2, "pairs": [["a", 0]]})
 
 
+def test_parse_json_refuses_nesting_past_the_recursion_limit():
+    with pytest.raises(FormatError, match="^not valid JSON"):
+        parse_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_dumps_is_canonical():
     a = dumps({"b": 1, "a": [2, 3]})
     b = dumps({"a": [2, 3], "b": 1})
